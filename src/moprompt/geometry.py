@@ -10,6 +10,15 @@ contribute a degenerate box instead of raising.
 The exact computation uses a dimension sweep for two objectives and recursive
 slicing on the first coordinate for three or more; `hypervolume_mc` provides
 an independent Monte-Carlo estimate used to validate the exact path.
+
+The nondominated filter is vectorized: after collapsing duplicates it builds
+the "at least as large in every coordinate" relation one block of candidate
+columns at a time, so memory stays O(n * block) rather than O(n^2 * m). Only
+sets that are about to be sliced are filtered, because their slab boundaries
+must come from nondominated points alone. Two-objective sets, including the
+2-d cross sections of a 3-d slice, go to the sweep unfiltered: dominated and
+duplicate points never raise its running maximum, so the sweep performs the
+same floating-point operations, in the same order, as on the filtered front.
 """
 
 from __future__ import annotations
@@ -64,14 +73,30 @@ def pareto_front(points) -> np.ndarray:
     pts = _as_points(points)
     if len(pts) == 0:
         return pts
+    return _nondominated(pts)
+
+
+# Candidate columns per block of the dominance relation in `_nondominated`.
+_BLOCK = 128
+
+
+def _nondominated(pts: np.ndarray) -> np.ndarray:
+    # np.unique sorts the distinct rows lexicographically, so a row can only be
+    # dominated by a later one: rows before a block are skipped. Among distinct
+    # rows, ">= in every column" off the diagonal is strict dominance.
     pts = np.unique(pts, axis=0)
-    keep = []
-    for i, p in enumerate(pts):
-        ge = np.all(pts >= p, axis=1)
-        gt = np.any(pts > p, axis=1)
-        if not np.any(ge & gt):
-            keep.append(i)
-    return pts[keep]
+    n = len(pts)
+    dominated = np.empty(n, dtype=bool)
+    for s in range(0, n, _BLOCK):
+        blk = pts[s : s + _BLOCK]
+        rows = pts[s:]
+        ge = rows[:, 0, None] >= blk[None, :, 0]
+        for k in range(1, pts.shape[1]):
+            ge &= rows[:, k, None] >= blk[None, :, k]
+        diag = np.arange(len(blk))
+        ge[diag, diag] = False
+        dominated[s : s + len(blk)] = ge.any(axis=0)
+    return pts[~dominated]
 
 
 def hypervolume(points, ref) -> float:
@@ -99,7 +124,11 @@ def hypervolume(points, ref) -> float:
     shifted = shifted[np.all(shifted > 0.0, axis=1)]
     if len(shifted) == 0:
         return 0.0
-    return _hv(pareto_front(shifted))
+    return _hv(shifted)
+
+
+# Elements of the sample-versus-point comparison in one `hypervolume_mc` chunk.
+_MC_ELEMENTS = 1 << 22
 
 
 def hypervolume_mc(points, ref, n_samples: int, seed: int) -> float:
@@ -129,10 +158,13 @@ def hypervolume_mc(points, ref, n_samples: int, seed: int) -> float:
     if box_volume == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
+    # The generator draws doubles in sequence, so the chunking, which bounds
+    # the (chunk, n, m) comparison temporary, does not change the samples.
+    max_chunk = max(1, _MC_ELEMENTS // pts.size)
     hits = 0
     remaining = n_samples
     while remaining > 0:
-        chunk = min(remaining, 1 << 18)
+        chunk = min(remaining, max_chunk)
         q = r + rng.random((chunk, len(r))) * extent
         dominated = (q[:, None, :] <= pts[None, :, :]).all(axis=2).any(axis=1)
         hits += int(dominated.sum())
@@ -141,22 +173,26 @@ def hypervolume_mc(points, ref, n_samples: int, seed: int) -> float:
 
 
 def _hv(pts: np.ndarray) -> float:
-    # pts: strictly positive coordinates, measured against the origin.
+    # pts: strictly positive coordinates, measured against the origin; may
+    # hold dominated and duplicate points.
     m = pts.shape[1]
     if m == 1:
         return float(pts.max())
     if m == 2:
         return _hv_sweep_2d(pts)
-    return _hv_slice(pts)
+    return _hv_slice(_nondominated(pts))
 
 
 def _hv_sweep_2d(pts: np.ndarray) -> float:
     # Descending sweep over x; a point adds area only where its y exceeds
-    # the running maximum. Ties broken by the second coordinate.
+    # the running maximum. Ties broken by the second coordinate, so a
+    # dominated or repeated point always follows one that bounds its y.
+    # Python floats are IEEE doubles, as numpy's float64 scalars are, and
+    # iterate faster.
     order = np.lexsort((-pts[:, 1], -pts[:, 0]))
     area = 0.0
     best_y = 0.0
-    for x, y in pts[order]:
+    for x, y in pts[order].tolist():
         if y > best_y:
             area += x * (y - best_y)
             best_y = y
@@ -164,9 +200,9 @@ def _hv_sweep_2d(pts: np.ndarray) -> float:
 
 
 def _hv_slice(pts: np.ndarray) -> float:
-    # Integrate (m-1)-dimensional cross sections along the first coordinate.
-    # The slab between consecutive sorted first coordinates is covered exactly
-    # by the points at or above its upper face.
+    # Integrate (m-1)-dimensional cross sections along the first coordinate
+    # of a nondominated set. The slab between consecutive sorted first
+    # coordinates is covered exactly by the points at or above its upper face.
     keys = tuple(-pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
     pts = pts[np.lexsort(keys)]
     xs = pts[:, 0]
@@ -176,6 +212,5 @@ def _hv_slice(pts: np.ndarray) -> float:
         width = xs[i] - lower
         if width == 0.0:
             continue
-        section = pareto_front(pts[: i + 1, 1:])
-        total += width * _hv(section)
+        total += width * _hv(pts[: i + 1, 1:])
     return total

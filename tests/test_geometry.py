@@ -2,7 +2,9 @@
 
 The exact hypervolume routine is checked against two independent oracles:
 an inclusion-exclusion sum over all nonempty subsets (exact, exponential in
-the number of points) and a seeded Monte-Carlo estimate.
+the number of points) and a seeded Monte-Carlo estimate. A test-local copy
+of the earlier per-point Pareto filter and slicing recursion pins the exact
+floating-point output: the vectorized filter must not move a single bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moprompt import geometry
 from moprompt.geometry import dominates, hypervolume, hypervolume_mc, pareto_front
 
 
@@ -27,6 +30,57 @@ def hv_inclusion_exclusion(points, ref) -> float:
         sign = 1.0 if size % 2 == 1 else -1.0
         for subset in itertools.combinations(range(len(clamped)), size):
             total += sign * float(np.prod(clamped[list(subset)].min(axis=0)))
+    return total
+
+
+def reference_front(points) -> np.ndarray:
+    """Reference: the per-point Pareto filter, one numpy pass per distinct row."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    keep = []
+    for i, p in enumerate(pts):
+        ge = np.all(pts >= p, axis=1)
+        gt = np.any(pts > p, axis=1)
+        if not np.any(ge & gt):
+            keep.append(i)
+    return pts[keep]
+
+
+def reference_hypervolume(points, ref) -> float:
+    """Reference: filter every set, then sweep (m = 2) or slice (m >= 3)."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        return 0.0
+    r = np.asarray(ref, dtype=float)
+    shifted = np.maximum(pts, r) - r
+    shifted = shifted[np.all(shifted > 0.0, axis=1)]
+    if len(shifted) == 0:
+        return 0.0
+    return _reference_hv(reference_front(shifted))
+
+
+def _reference_hv(pts: np.ndarray) -> float:
+    m = pts.shape[1]
+    if m == 1:
+        return float(pts.max())
+    if m == 2:
+        order = np.lexsort((-pts[:, 1], -pts[:, 0]))
+        area = 0.0
+        best_y = 0.0
+        for x, y in pts[order]:
+            if y > best_y:
+                area += x * (y - best_y)
+                best_y = y
+        return float(area)
+    keys = tuple(-pts[:, j] for j in range(m - 1, -1, -1))
+    pts = pts[np.lexsort(keys)]
+    xs = pts[:, 0]
+    total = 0.0
+    for i in range(len(pts)):
+        lower = xs[i + 1] if i + 1 < len(pts) else 0.0
+        width = xs[i] - lower
+        if width == 0.0:
+            continue
+        total += width * _reference_hv(reference_front(pts[: i + 1, 1:]))
     return total
 
 
@@ -98,6 +152,24 @@ def test_pareto_front_is_nondominated_and_sufficient(seed, n, m):
         assert any(np.all(f >= p) for f in front)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pareto_front_across_block_boundaries(m):
+    # More rows than two blocks of the vectorized filter, with front members
+    # in every block: half the distinct rows lie on the simplex (mutually
+    # nondominated unless rounding ties them), half are uniform below it, so
+    # that some are dominated only by rows in a later block.
+    rng = np.random.default_rng(m)
+    n = 2 * geometry._BLOCK + 3
+    on_simplex = rng.dirichlet(np.ones(m), size=n // 2)
+    below = rng.uniform(0.0, 1.0 / m, size=(n // 2, m))
+    distinct = np.round(np.vstack([on_simplex, below]), 3)
+    pts = np.vstack([distinct, distinct[rng.integers(0, len(distinct), size=n - len(distinct))]])
+    pts = pts[rng.permutation(n)]
+    expected = reference_front(pts)
+    assert len(expected) > geometry._BLOCK // 2
+    assert np.array_equal(pareto_front(pts), expected)
+
+
 # ---------------------------------------------------------------------------
 # hypervolume, frozen values
 
@@ -159,9 +231,12 @@ def test_hypervolume_rejects_bad_input():
 # hypervolume vs oracles
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
+@settings(max_examples=75, deadline=None)
 def test_hypervolume_matches_inclusion_exclusion(seed, n, m):
+    # The environments accept any m >= 2; at m = 5 the oracle's 2^n subsets
+    # are kept small.
+    n = min(n, 7) if m == 5 else n
     pts = random_points(seed, n, m)
     exact = hypervolume(pts, np.zeros(m))
     oracle = hv_inclusion_exclusion(pts, np.zeros(m))
@@ -174,6 +249,52 @@ def test_hypervolume_matches_monte_carlo(seed, n, m):
     exact = hypervolume(pts, np.zeros(m))
     est = hypervolume_mc(pts, np.zeros(m), n_samples=200_000, seed=seed + 1)
     assert est == pytest.approx(exact, abs=0.01)
+
+
+def test_hypervolume_mc_chunks_match_one_draw(monkeypatch):
+    # A small element budget forces many chunks, the last one partial.
+    pts = random_points(5, 16, 4)
+    ref = np.zeros(4)
+    n_samples = 5_001
+    rng = np.random.default_rng(3)
+    extent = pts.max(axis=0) - ref
+    q = ref + rng.random((n_samples, 4)) * extent
+    hits = int((q[:, None, :] <= pts[None, :, :]).all(axis=2).any(axis=1).sum())
+    one_draw = float(np.prod(extent)) * hits / n_samples
+    monkeypatch.setattr(geometry, "_MC_ELEMENTS", 16 * 4 * 97)
+    assert hypervolume_mc(pts, ref, n_samples, seed=3) == one_draw
+
+
+@st.composite
+def tied_point_sets(draw, m):
+    """Point sets with rounded ties, repeated rows and points below `ref`.
+
+    Half the sets start on the simplex, where every point is nondominated,
+    so that large fronts and deep slicing recursions are common.
+    """
+    n = draw(st.sampled_from(range(1, 21)))
+    distinct = n - draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = rng.dirichlet(np.ones(m), size=distinct)
+    else:
+        pool = rng.uniform(-0.25, 1.0, size=(distinct, m))
+    decimals = draw(st.sampled_from([None, 1, 2]))
+    if decimals is not None:
+        pool = np.round(pool, decimals)
+    pts = np.vstack([pool, pool[rng.integers(0, distinct, size=n - distinct)]])
+    pts = pts[rng.permutation(n)]
+    ref = np.zeros(m) if draw(st.booleans()) else np.round(rng.uniform(-0.2, 0.2, size=m), 1)
+    return pts, ref
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hypervolume_bit_identical_to_reference(m, data):
+    pts, ref = data.draw(tied_point_sets(m))
+    assert hypervolume(pts, ref) == reference_hypervolume(pts, ref)
+    assert np.array_equal(pareto_front(pts), reference_front(pts))
 
 
 # ---------------------------------------------------------------------------
