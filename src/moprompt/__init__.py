@@ -6,9 +6,9 @@ expected product of rewards, hypervolume improvement, and multiple
 gradient descent on the per-objective losses.
 """
 
-from .envs import EnvSpec, OutputSample, builtin_env, dump_samples, rollout
+from .envs import EnvSpec, builtin_env, rollout
 from .geometry import dominates, hypervolume, hypervolume_mc, pareto_front
-from .mgda import DescentResult, mgda_step, min_norm_point
+from .mgda import DescentResult, min_norm_point
 from .policy import (
     PolicyConfig,
     PolicyParams,
@@ -23,7 +23,6 @@ from .policy import (
 )
 from .rewards import (
     EvaluationMetrics,
-    RewardAssignment,
     aggregate_average,
     aggregate_hvi,
     aggregate_product,
@@ -47,16 +46,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnvSpec",
-    "OutputSample",
     "builtin_env",
-    "dump_samples",
     "rollout",
     "dominates",
     "hypervolume",
     "hypervolume_mc",
     "pareto_front",
     "DescentResult",
-    "mgda_step",
     "min_norm_point",
     "PolicyConfig",
     "PolicyParams",
@@ -69,7 +65,6 @@ __all__ = [
     "save_checkpoint",
     "sql_loss_and_grad",
     "EvaluationMetrics",
-    "RewardAssignment",
     "aggregate_average",
     "aggregate_hvi",
     "aggregate_product",

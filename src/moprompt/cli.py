@@ -2,6 +2,7 @@
 
 Three subcommands share one configuration pipeline: profile defaults,
 then the YAML config file, then explicit flags, parsed fail-closed.
+`compare` also prints the table it writes to table1_analog.csv.
 
 Exit codes: 0 on success, 1 on any configuration problem, 2 when a seed
 aborted on a non-finite loss or gradient.
@@ -10,6 +11,7 @@ aborted on a non-finite loss or gradient.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -98,6 +100,21 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
     return config_from_dict(data, profile=args.profile)
 
 
+def _print_table(path: str) -> None:
+    """Print a CSV table with numbers to two decimals in aligned columns."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows:
+        for i, cell in enumerate(row):
+            try:
+                row[i] = f"{float(cell):.2f}"
+            except ValueError:
+                pass
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -131,6 +148,9 @@ def main(argv=None) -> int:
         )
     if cfg.out_dir is not None:
         print(f"wrote {len(result.records)} evaluation record(s) to {cfg.out_dir}")
+        if args.command == "compare":
+            print()
+            _print_table(os.path.join(cfg.out_dir, "table1_analog.csv"))
     return 2 if result.aborts else 0
 
 

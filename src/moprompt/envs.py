@@ -1,8 +1,8 @@
 """Synthetic stand-ins for a frozen generator plus reward models.
 
-Each environment is a stochastic channel from (prompt tokens, input) to
-output samples carrying m deliberately conflicting reward scores with known
-Pareto structure:
+Each environment is a stochastic channel from (prompt tokens, input) to a
+(k_hat, m) reward batch: one row of m deliberately conflicting reward
+scores per generated output, with known Pareto structure:
 
 * ``tug-of-war``: token j votes for objective axis j mod m. A sample's
   latent is the prompt's vote-fraction vector plus Gaussian noise, so with
@@ -23,9 +23,8 @@ Rewards are always the latent clamped to [0, 1] componentwise.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .seeding import (
     unit_floats,
 )
 
-__all__ = ["EnvSpec", "OutputSample", "ENV_NAMES", "builtin_env", "rollout", "dump_samples"]
+__all__ = ["EnvSpec", "ENV_NAMES", "builtin_env", "rollout"]
 
 ENV_NAMES = ("tug-of-war", "gaussian-arms", "outlier-prone")
 
@@ -79,18 +78,6 @@ class EnvSpec:
     @property
     def context_dim(self) -> int:
         return self.inputs.shape[1]
-
-
-@dataclass(frozen=True)
-class OutputSample:
-    """One generated output: raw latent scores and their clamped rewards."""
-
-    latent: np.ndarray
-    rewards: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.rewards is None:
-            object.__setattr__(self, "rewards", np.clip(self.latent, 0.0, 1.0))
 
 
 def builtin_env(
@@ -145,8 +132,8 @@ def _arm_mean(env: EnvSpec, tokens: np.ndarray) -> np.ndarray:
     return amplitude * np.array(exps) / total
 
 
-def rollout(env: EnvSpec, prompt, input_index: int, k_hat: int, seed: int) -> list[OutputSample]:
-    """Draw k_hat output samples for one prompt and one input.
+def rollout(env: EnvSpec, prompt, input_index: int, k_hat: int, seed: int) -> np.ndarray:
+    """Draw the (k_hat, m) float64 reward batch for one prompt and one input.
 
     Deterministic per (env, prompt tokens, seed). Noise and outlier
     replacement use disjoint RNG streams derived from the seed, so setting
@@ -177,18 +164,4 @@ def rollout(env: EnvSpec, prompt, input_index: int, k_hat: int, seed: int) -> li
         outlier_rng = np.random.default_rng(derive_seed(seed, ROLE_OUTLIER))
         mask = outlier_rng.random(k_hat) < env.outlier_prob
         latents[mask] = OUTLIER_LATENT
-    return [OutputSample(latent=latents[i]) for i in range(k_hat)]
-
-
-def dump_samples(path, samples: list[OutputSample], tokens, seed: int) -> None:
-    """Append one JSONL line per sample: latent, rewards, prompt tokens, seed."""
-    token_list = np.asarray(tokens, dtype=np.int64).ravel().tolist()
-    with open(path, "a", encoding="utf-8") as fh:
-        for sample in samples:
-            record = {
-                "latent": sample.latent.tolist(),
-                "rewards": sample.rewards.tolist(),
-                "tokens": token_list,
-                "seed": int(seed),
-            }
-            fh.write(json.dumps(record) + "\n")
+    return np.clip(latents, 0.0, 1.0)

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = ["DescentResult", "min_norm_point", "mgda_step"]
+__all__ = ["DescentResult", "min_norm_point"]
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 250
@@ -129,25 +129,6 @@ def min_norm_point(gradients, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_
         converged=converged,
         iterations=iterations,
     )
-
-
-def mgda_step(params, gradients, eta: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """One multiple-gradient descent update: params - eta * sum_i lambda_i g_i.
-
-    Gradients are of losses, so the step decreases every loss to first order
-    whenever the min-norm point is nonzero.
-
-    Raises:
-        ValueError: if eta is negative or dimensions disagree.
-    """
-    p = np.asarray(params, dtype=float)
-    g = _as_gradients(gradients)
-    if p.ndim != 1 or p.shape[0] != g.shape[1]:
-        raise ValueError(f"params shape {p.shape} does not match gradient dimension {g.shape[1]}")
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    result = min_norm_point(g, tol=tol, max_iter=max_iter)
-    return p + eta * result.direction
 
 
 def _frank_wolfe(gram: np.ndarray, tol: float, max_iter: int):

@@ -1,10 +1,9 @@
 """Batch reward aggregation: the scalar training signals for each method.
 
-Given a batch of per-sample reward vectors (one vector of m objective scores
-per generated output), each aggregator produces a `RewardAssignment`: a scalar
-summary of the batch plus a per-sample credit vector that feeds the soft-Q
-loss. Average and Product assign per-sample credit directly; HVI is a set
-quantity, so its batch value is broadcast identically to every sample.
+A reward batch is one (n, m) array: a row of m objective scores per
+generated output. Each aggregator collapses it to the float that becomes
+the prompt's terminal reward in the soft-Q loss: the grand mean, the
+expected product, or the hypervolume of the batch as a point set.
 """
 
 from __future__ import annotations
@@ -16,21 +15,12 @@ import numpy as np
 from .geometry import hypervolume
 
 __all__ = [
-    "RewardAssignment",
     "EvaluationMetrics",
     "aggregate_average",
     "aggregate_product",
     "aggregate_hvi",
     "evaluation_metrics",
 ]
-
-
-@dataclass(frozen=True)
-class RewardAssignment:
-    """Per-sample training rewards plus the batch-level scalar they came from."""
-
-    per_sample: np.ndarray
-    batch_scalar: float
 
 
 @dataclass(frozen=True)
@@ -52,19 +42,17 @@ def _as_batch(batch) -> np.ndarray:
     return arr
 
 
-def aggregate_average(batch) -> RewardAssignment:
-    """Mean of objectives per sample; batch scalar is the grand mean.
+def aggregate_average(batch) -> float:
+    """The grand mean: mean over samples of each sample's mean objective.
 
     Raises:
         ValueError: on an empty or non-finite batch.
     """
-    arr = _as_batch(batch)
-    per_sample = arr.mean(axis=1)
-    return RewardAssignment(per_sample=per_sample, batch_scalar=float(per_sample.mean()))
+    return float(_as_batch(batch).mean(axis=1).mean())
 
 
-def aggregate_product(batch) -> RewardAssignment:
-    """Product of objectives per sample; batch scalar is the expected product.
+def aggregate_product(batch) -> float:
+    """The expected product: mean over samples of the product of objectives.
 
     Raises:
         ValueError: on an empty batch or any negative reward.
@@ -72,23 +60,19 @@ def aggregate_product(batch) -> RewardAssignment:
     arr = _as_batch(batch)
     if (arr < 0.0).any():
         raise ValueError("product aggregation requires nonnegative rewards")
-    per_sample = arr.prod(axis=1)
-    return RewardAssignment(per_sample=per_sample, batch_scalar=float(per_sample.mean()))
+    return float(arr.prod(axis=1).mean())
 
 
-def aggregate_hvi(batch, ref) -> RewardAssignment:
-    """Hypervolume of the batch, broadcast as every sample's credit.
+def aggregate_hvi(batch, ref) -> float:
+    """Hypervolume of the batch as a point set above ref.
 
-    The batch is treated as a point set: dominated samples add nothing to the
-    scalar, and every sample receives the same credit because the volume has
-    no canonical per-sample decomposition.
+    Dominated samples add nothing; the volume has no canonical per-sample
+    decomposition, so the batch yields one scalar.
 
     Raises:
         ValueError: on an empty batch or a reference point of wrong dimension.
     """
-    arr = _as_batch(batch)
-    scalar = hypervolume(arr, ref)
-    return RewardAssignment(per_sample=np.full(arr.shape[0], scalar), batch_scalar=scalar)
+    return hypervolume(_as_batch(batch), ref)
 
 
 def evaluation_metrics(batch, ref) -> EvaluationMetrics:

@@ -3,8 +3,8 @@
 One training step mirrors the batched rollout structure of the volume-based
 and MGDA-based loops: pick the next environment input round-robin, sample k
 prompts from the policy, roll out k_hat outputs per prompt, score them, and
-take one Adam step. The methods differ only in how a prompt's output batch
-becomes a training signal:
+take one Adam step. Each prompt's rollout is one (k_hat, m) reward array,
+and the methods differ only in how that array becomes a training signal:
 
 * average / product / hvi: the batch collapses to one scalar per prompt
   (mean of means, expected product, or hypervolume), which becomes that
@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,7 +67,6 @@ __all__ = [
     "emit_scatter",
     "write_metrics_csv",
     "read_metrics_csv",
-    "counters",
 ]
 
 METHODS = ("average", "product", "hvi", "mgda")
@@ -83,10 +81,6 @@ PROFILES = {
     },
     "paper": {"steps": 12000, "k_hat": 128, "eval_every": 200, "learning_rate": 1e-4},
 }
-
-# Dispatch instrumentation: volume methods must never touch the min-norm
-# solver and mgda must never touch the aggregators.
-counters = {"aggregate": 0, "min_norm": 0}
 
 
 class ConfigError(ValueError):
@@ -135,8 +129,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One evaluation snapshot. wall_clock is in-memory only; the CSV omits
-    it so identical runs serialize byte-identically."""
+    """One evaluation snapshot; it carries no timing, so identical runs
+    serialize byte-identically."""
 
     step: int
     seed: int
@@ -146,7 +140,6 @@ class MetricsRecord:
     expected_product: float
     hvi: float
     mgda_norm_sq: float | None = None
-    wall_clock: float = 0.0
 
 
 @dataclass
@@ -267,14 +260,13 @@ def _policy_config(cfg: TrainConfig) -> PolicyConfig:
     )
 
 
-def _prompt_scalar(method: str, reward_matrix: np.ndarray, m: int) -> float:
-    counters["aggregate"] += 1
+def _prompt_scalar(method: str, rewards: np.ndarray, m: int) -> float:
     if method == "average":
-        return aggregate_average(reward_matrix).batch_scalar
+        return aggregate_average(rewards)
     if method == "product":
-        return aggregate_product(reward_matrix).batch_scalar
+        return aggregate_product(rewards)
     if method == "hvi":
-        return aggregate_hvi(reward_matrix, np.zeros(m)).batch_scalar
+        return aggregate_hvi(rewards, np.zeros(m))
     raise ValueError(f"no aggregator for method {method!r}")
 
 
@@ -288,12 +280,11 @@ def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int):
         prompt = sample_prompts(
             params, env.inputs[idx], k=1, seed=derive_seed(seed, ROLE_EVAL, idx, 0)
         )[0]
-        outs = rollout(env, prompt, idx, k_hat_eval, derive_seed(seed, ROLE_EVAL, idx, 1))
-        batches.append(np.stack([o.rewards for o in outs]))
+        batches.append(rollout(env, prompt, idx, k_hat_eval, derive_seed(seed, ROLE_EVAL, idx, 1)))
     return evaluation_metrics(np.vstack(batches), np.zeros(env.m))
 
 
-def _record(cfg, step, seed, params, started, norm_sq) -> MetricsRecord:
+def _record(cfg, step, seed, params, norm_sq) -> MetricsRecord:
     metrics = _evaluate(cfg, params, seed)
     return MetricsRecord(
         step=step,
@@ -304,12 +295,10 @@ def _record(cfg, step, seed, params, started, norm_sq) -> MetricsRecord:
         expected_product=metrics.expected_product,
         hvi=metrics.hvi,
         mgda_norm_sq=norm_sq,
-        wall_clock=time.perf_counter() - started,
     )
 
 
 def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyParams:
-    started = time.perf_counter()
     env = cfg.env
     pcfg = _policy_config(cfg)
     flat = init_policy(pcfg, derive_seed(seed, ROLE_INIT)).flat
@@ -318,25 +307,22 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
     norm_sq: float | None = None
 
     params = PolicyParams(pcfg, flat)
-    result.records.append(_record(cfg, 0, seed, params, started, norm_sq))
+    result.records.append(_record(cfg, 0, seed, params, norm_sq))
     for step in range(1, cfg.steps + 1):
         input_index = (step - 1) % n_inputs
         prompts = sample_prompts(
             params, env.inputs[input_index], cfg.k, derive_seed(seed, ROLE_PROMPTS, step)
         )
-        matrices = []
-        for j, prompt in enumerate(prompts):
-            outs = rollout(
-                env, prompt, input_index, cfg.k_hat, derive_seed(seed, ROLE_ROLLOUT, step, j)
-            )
-            matrices.append(np.stack([o.rewards for o in outs]))
+        batches = [
+            rollout(env, prompt, input_index, cfg.k_hat, derive_seed(seed, ROLE_ROLLOUT, step, j))
+            for j, prompt in enumerate(prompts)
+        ]
 
         if cfg.method == "mgda":
-            per_prompt = np.stack([mat.mean(axis=0) for mat in matrices])
+            per_prompt = np.stack([batch.mean(axis=0) for batch in batches])
             losses, grads = per_objective_loss_grads(params, prompts, per_prompt)
             healthy = bool(np.isfinite(losses).all() and np.isfinite(grads).all())
             if healthy:
-                counters["min_norm"] += 1
                 try:
                     solution = min_norm_point(grads)
                 except (ValueError, RuntimeError):
@@ -347,7 +333,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
                     grad = -solution.direction
                     healthy = bool(np.isfinite(grad).all())
         else:
-            scalars = [_prompt_scalar(cfg.method, mat, env.m) for mat in matrices]
+            scalars = [_prompt_scalar(cfg.method, batch, env.m) for batch in batches]
             loss, grad = sql_loss_and_grad(params, prompts, scalars)
             healthy = bool(np.isfinite(loss) and np.isfinite(grad).all())
 
@@ -359,7 +345,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
         flat = adam.update(flat, grad)
         params = PolicyParams(pcfg, flat)
         if step % cfg.eval_every == 0:
-            result.records.append(_record(cfg, step, seed, params, started, norm_sq))
+            result.records.append(_record(cfg, step, seed, params, norm_sq))
     return params
 
 

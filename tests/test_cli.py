@@ -116,12 +116,20 @@ def test_scatter_without_metrics_exits_one(tmp_path):
     assert main(["scatter", "--out-dir", str(tmp_path)]) == 1
 
 
-def test_compare_subcommand_writes_table(tmp_path):
+def test_compare_subcommand_writes_table(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml")
     out = tmp_path / "run"
     code = main(["compare", "--config", cfg, "--out-dir", str(out)])
     assert code == 0
     assert (out / "table1_analog.csv").exists()
+    # The printed table is the written one, numbers rounded to two decimals.
+    table = [line.split(",") for line in (out / "table1_analog.csv").read_text().splitlines()]
+    expected = [table[0]] + [[row[0]] + [f"{float(c):.2f}" for c in row[1:]] for row in table[1:]]
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("method")))
+    printed = [line.split() for line in lines[start:]]
+    assert printed == expected
+    assert [row[0] for row in printed[1:]] == ["average", "product", "hvi", "mgda"]
     records = read_metrics_csv(out / "metrics.csv")
     assert {r.method for r in records} == {"average", "product", "hvi", "mgda"}
 

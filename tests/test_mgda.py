@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moprompt.mgda import _frank_wolfe, mgda_step, min_norm_point
+from moprompt.mgda import _frank_wolfe, min_norm_point
 
 
 def random_gradients(seed: int, m: int, n: int) -> np.ndarray:
@@ -173,26 +173,14 @@ def test_frank_wolfe_monotone_under_exact_line_search(seed, m, n):
 
 
 # ---------------------------------------------------------------------------
-# mgda_step
-
-
-def test_step_with_zero_eta_is_identity():
-    params = np.array([0.5, -1.5, 2.0])
-    g = random_gradients(3, 2, 3)
-    assert np.array_equal(mgda_step(params, g, eta=0.0), params)
+# one descent step x + eta * direction
 
 
 def test_step_single_objective_is_plain_gradient_descent():
     params = np.array([0.5, -1.5, 2.0, 0.25])
     g = np.array([[1.0, -2.0, 0.5, 4.0]])
-    assert np.array_equal(mgda_step(params, g, eta=0.1), params - 0.1 * g[0])
-
-
-def test_step_rejects_mismatched_dimensions():
-    with pytest.raises(ValueError):
-        mgda_step(np.zeros(3), np.ones((2, 4)), eta=0.1)
-    with pytest.raises(ValueError):
-        mgda_step(np.zeros(3), np.ones((2, 3)), eta=-0.1)
+    step = params + 0.1 * min_norm_point(g).direction
+    assert np.array_equal(step, params - 0.1 * g[0])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -208,7 +196,7 @@ def test_step_decreases_quadratic_losses(seed):
     if res.combined_norm_sq <= 1e-10:
         return
     eta = 1e-3
-    x_next = mgda_step(x, g, eta=eta, tol=1e-12)
+    x_next = x + eta * min_norm_point(g, tol=1e-12).direction
     for c in anchors:
         before = 0.5 * float((x - c) @ (x - c))
         after = 0.5 * float((x_next - c) @ (x_next - c))

@@ -23,12 +23,12 @@ def random_batch(seed: int, n: int, m: int) -> np.ndarray:
 
 def loop_average(batch):
     per = [sum(row) / len(row) for row in batch]
-    return per, sum(per) / len(per)
+    return sum(per) / len(per)
 
 
 def loop_product(batch):
     per = [math.prod(row) for row in batch]
-    return per, sum(per) / len(per)
+    return sum(per) / len(per)
 
 
 # ---------------------------------------------------------------------------
@@ -37,39 +37,34 @@ def loop_product(batch):
 
 def test_average_examples():
     out = aggregate_average([[0.5, 0.5]])
-    assert out.per_sample.tolist() == [0.5]
-    assert out.batch_scalar == 0.5
+    assert type(out) is float
+    assert out == 0.5
 
-    out = aggregate_average([[0.5, 0.5], [1.0, 0.0]])
-    assert out.per_sample.tolist() == [0.5, 0.5]
-    assert out.batch_scalar == 0.5
-
-    assert aggregate_average([[1.0, 1.0, 1.0]]).batch_scalar == 1.0
+    assert aggregate_average([[0.5, 0.5], [1.0, 0.0]]) == 0.5
+    assert aggregate_average([[1.0, 1.0, 1.0]]) == 1.0
 
 
 def test_product_examples():
     out = aggregate_product([[0.5, 0.5], [1.0, 0.0]])
-    assert out.per_sample.tolist() == [0.25, 0.0]
-    assert out.batch_scalar == 0.125
+    assert type(out) is float
+    assert out == 0.125
 
-    assert aggregate_product([[1.0, 1.0]]).batch_scalar == 1.0
-    assert aggregate_product([[0.6, 0.3]]).batch_scalar == pytest.approx(0.18, abs=1e-15)
+    assert aggregate_product([[1.0, 1.0]]) == 1.0
+    assert aggregate_product([[0.6, 0.3]]) == pytest.approx(0.18, abs=1e-15)
 
 
 def test_hvi_examples():
     out = aggregate_hvi([[0.6, 0.3], [0.2, 0.8]], ref=[0.0, 0.0])
-    assert out.batch_scalar == pytest.approx(0.28, abs=1e-12)
-    assert out.per_sample.tolist() == [out.batch_scalar] * 2
+    assert type(out) is float
+    assert out == pytest.approx(0.28, abs=1e-12)
 
-    assert aggregate_hvi([[0.6, 0.3]], ref=[0.0, 0.0]).batch_scalar == pytest.approx(
-        0.18, abs=1e-12
-    )
+    assert aggregate_hvi([[0.6, 0.3]], ref=[0.0, 0.0]) == pytest.approx(0.18, abs=1e-12)
 
 
 def test_hvi_dominant_outlier():
     # One large point swamps the volume of a cloud near the origin.
     batch = [[0.1, 0.12], [0.11, 0.1], [0.9, 0.9], [0.08, 0.09]]
-    assert aggregate_hvi(batch, ref=[0.0, 0.0]).batch_scalar >= 0.81
+    assert aggregate_hvi(batch, ref=[0.0, 0.0]) >= 0.81
 
 
 def test_evaluation_metrics_example():
@@ -113,15 +108,8 @@ def test_product_rejects_negative_rewards():
 @settings(max_examples=50, deadline=None)
 def test_average_and_product_match_loop_oracle(seed, n, m):
     batch = random_batch(seed, n, m)
-    per_a, scalar_a = loop_average(batch.tolist())
-    out_a = aggregate_average(batch)
-    assert np.allclose(out_a.per_sample, per_a, atol=1e-12)
-    assert out_a.batch_scalar == pytest.approx(scalar_a, abs=1e-12)
-
-    per_p, scalar_p = loop_product(batch.tolist())
-    out_p = aggregate_product(batch)
-    assert np.allclose(out_p.per_sample, per_p, atol=1e-12)
-    assert out_p.batch_scalar == pytest.approx(scalar_p, abs=1e-12)
+    assert aggregate_average(batch) == pytest.approx(loop_average(batch.tolist()), abs=1e-12)
+    assert aggregate_product(batch) == pytest.approx(loop_product(batch.tolist()), abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(1, 4))
@@ -129,14 +117,10 @@ def test_average_and_product_match_loop_oracle(seed, n, m):
 def test_aggregators_are_permutation_invariant(seed, n, m):
     batch = random_batch(seed, n, m)
     perm = np.random.default_rng(seed + 1).permutation(n)
-    assert aggregate_average(batch[perm]).batch_scalar == pytest.approx(
-        aggregate_average(batch).batch_scalar, abs=1e-12
-    )
-    assert aggregate_product(batch[perm]).batch_scalar == pytest.approx(
-        aggregate_product(batch).batch_scalar, abs=1e-12
-    )
-    assert aggregate_hvi(batch[perm], np.zeros(m)).batch_scalar == pytest.approx(
-        aggregate_hvi(batch, np.zeros(m)).batch_scalar, abs=1e-12
+    assert aggregate_average(batch[perm]) == pytest.approx(aggregate_average(batch), abs=1e-12)
+    assert aggregate_product(batch[perm]) == pytest.approx(aggregate_product(batch), abs=1e-12)
+    assert aggregate_hvi(batch[perm], np.zeros(m)) == pytest.approx(
+        aggregate_hvi(batch, np.zeros(m)), abs=1e-12
     )
 
 
@@ -151,13 +135,10 @@ def test_product_below_mean_of_means_on_unit_interval(seed, n, m):
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 3))
 @settings(max_examples=50, deadline=None)
-def test_hvi_broadcast_and_dominated_sample_no_op(seed, n, m):
+def test_hvi_dominated_sample_no_op(seed, n, m):
     batch = random_batch(seed, n, m)
     out = aggregate_hvi(batch, np.zeros(m))
-    assert np.all(out.per_sample == out.batch_scalar)
     # A sample dominated by an existing one never moves the HVI scalar.
     dominated = batch[0] * 0.5
     grown = np.vstack([batch, dominated])
-    assert aggregate_hvi(grown, np.zeros(m)).batch_scalar == pytest.approx(
-        out.batch_scalar, abs=1e-12
-    )
+    assert aggregate_hvi(grown, np.zeros(m)) == pytest.approx(out, abs=1e-12)

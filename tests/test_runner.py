@@ -205,26 +205,45 @@ def test_zero_learning_rate_freezes_metrics():
         assert r.hvi == first.hvi
 
 
-def test_volume_methods_never_call_min_norm():
+def count_dispatch(monkeypatch) -> dict:
+    """Wrap the runner's aggregators and min-norm solver in call-counting wrappers."""
+    calls = {"aggregate": 0, "min_norm": 0}
+
+    def counting(name, key):
+        original = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, wrapper)
+
+    for name in ("aggregate_average", "aggregate_product", "aggregate_hvi"):
+        counting(name, "aggregate")
+    counting("min_norm_point", "min_norm")
+    return calls
+
+
+def test_volume_methods_never_call_min_norm(monkeypatch):
+    calls = count_dispatch(monkeypatch)
     for method in ("average", "product", "hvi"):
-        runner.counters["aggregate"] = 0
-        runner.counters["min_norm"] = 0
+        calls["aggregate"] = 0
+        calls["min_norm"] = 0
         cfg = tiny_config(method=method, steps=6, eval_every=3)
         result = train(cfg)
         assert not result.aborts
-        assert runner.counters["min_norm"] == 0
-        assert runner.counters["aggregate"] == 6 * cfg.k
+        assert calls["min_norm"] == 0
+        assert calls["aggregate"] == 6 * cfg.k
         assert all(r.mgda_norm_sq is None for r in result.records)
 
 
-def test_mgda_never_calls_aggregators():
-    runner.counters["aggregate"] = 0
-    runner.counters["min_norm"] = 0
+def test_mgda_never_calls_aggregators(monkeypatch):
+    calls = count_dispatch(monkeypatch)
     cfg = tiny_config(method="mgda", steps=6, eval_every=3)
     result = train(cfg)
     assert not result.aborts
-    assert runner.counters["aggregate"] == 0
-    assert runner.counters["min_norm"] == 6
+    assert calls["aggregate"] == 0
+    assert calls["min_norm"] == 6
     assert result.records[0].mgda_norm_sq is None
     for r in result.records[1:]:
         assert r.mgda_norm_sq is not None
