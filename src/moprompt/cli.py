@@ -2,7 +2,8 @@
 
 Three subcommands share one configuration pipeline: profile defaults,
 then the YAML config file, then explicit flags, parsed fail-closed.
-`compare` also prints the table it writes to table1_analog.csv.
+`compare` also prints the comparison table, which it writes to
+table1_analog.csv when an output directory is given.
 
 Exit codes: 0 on success, 1 on any configuration problem, 2 when a seed
 aborted on a non-finite loss or gradient.
@@ -11,7 +12,6 @@ aborted on a non-finite loss or gradient.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -24,6 +24,7 @@ from .runner import (
     ConfigError,
     TrainConfig,
     compare_methods,
+    comparison_table,
     config_from_dict,
     emit_scatter,
     read_metrics_csv,
@@ -100,16 +101,16 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
     return config_from_dict(data, profile=args.profile)
 
 
-def _print_table(path: str) -> None:
-    """Print a CSV table with numbers to two decimals in aligned columns."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    for row in rows:
-        for i, cell in enumerate(row):
-            try:
-                row[i] = f"{float(cell):.2f}"
-            except ValueError:
-                pass
+def _print_table(rows: list) -> None:
+    """Print table rows with numbers to two decimals in aligned columns."""
+
+    def show(cell: str) -> str:
+        try:
+            return f"{float(cell):.2f}"
+        except ValueError:
+            return cell
+
+    rows = [[show(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -148,9 +149,10 @@ def main(argv=None) -> int:
         )
     if cfg.out_dir is not None:
         print(f"wrote {len(result.records)} evaluation record(s) to {cfg.out_dir}")
-        if args.command == "compare":
+    if args.command == "compare":
+        if cfg.out_dir is not None:
             print()
-            _print_table(os.path.join(cfg.out_dir, "table1_analog.csv"))
+        _print_table(comparison_table(result.records, cfg.env.m))
     return 2 if result.aborts else 0
 
 

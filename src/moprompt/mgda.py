@@ -2,18 +2,18 @@
 
 The common-descent direction for m objectives is d = -(sum_i lambda_i g_i),
 where lambda minimizes ||sum_i lambda_i g_i||^2 over the probability simplex.
-That quadratic is solved in its dual form with Frank-Wolfe: at each iteration
-the linear subproblem picks the gradient with the smallest inner product
-against the current combination (ties broken by lowest index), and an exact
-line search moves toward it. The duality gap gives a certified stopping rule.
-
-Plain Frank-Wolfe converges only sublinearly when the optimum sits on a
-face of the simplex, so for m <= 3 the minimizer is also computed exactly
-(segment projection for pairs, face enumeration for triples) and returned
-after a consistency check against the Frank-Wolfe path.
+That quadratic is solved exactly, for every m, by Wolfe's minimum-norm-point
+algorithm (P. Wolfe, "Finding the nearest point in a polytope", Math.
+Programming 1976) on the m x m Gram matrix. It keeps a corral, an affinely
+independent set of gradients whose convex hull holds the current point. A
+major cycle adds the gradient with the smallest inner product against the
+current point; a minor cycle moves to the corral's affine minimizer, first
+stepping toward it and dropping a gradient while that minimizer has a
+nonpositive weight. It stops once the duality gap is rounding dust and
+terminates in finitely many corral solves.
 
 When the min-norm point is nonzero, every loss has directional derivative
-<= -||u||^2 + tol along d, so a small enough step decreases all objectives;
+<= -||u||^2 + gap along d, so a small enough step decreases all objectives;
 when it is (near) zero the parameters are Pareto-stationary and the step
 vanishes.
 """
@@ -21,14 +21,15 @@ vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 __all__ = ["DescentResult", "min_norm_point"]
 
 DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITER = 250
+# Wolfe's algorithm terminates finitely in exact arithmetic; the cap only
+# guards against cycling caused by rounding.
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class DescentResult:
         combined_norm_sq: squared norm of the weighted gradient combination.
         gap: duality gap at the returned weights; certifies that every
             gradient satisfies g_i . (-direction) >= combined_norm_sq - gap.
-        converged: whether the duality gap reached tolerance within max_iter.
-        iterations: Frank-Wolfe line-search steps performed.
+        converged: whether that gap is at most DEFAULT_TOL.
+        iterations: corral solves of Wolfe's algorithm.
     """
 
     weights: np.ndarray
@@ -62,31 +63,21 @@ def _as_gradients(gradients) -> np.ndarray:
     return g
 
 
-def min_norm_point(gradients, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> DescentResult:
+def min_norm_point(gradients) -> DescentResult:
     """Minimize ||sum_i lambda_i g_i||^2 over simplex weights lambda.
 
     Args:
         gradients: (m, n) matrix, one loss gradient per row.
-        tol: duality-gap stopping tolerance; must be positive.
-        max_iter: Frank-Wolfe iteration cap; exhaustion is reported via the
-            `converged` flag, not an error.
 
     Returns:
-        DescentResult with the best iterate found.
+        DescentResult at the exact minimizer, up to rounding.
 
     Raises:
-        ValueError: on empty or non-finite gradients, or bad tol/max_iter.
-        RuntimeError: if the exact small-m solution and the Frank-Wolfe
-            path disagree beyond tolerance (internal consistency check).
+        ValueError: on empty or non-finite gradients, or when their Gram
+            matrix overflows.
     """
     g = _as_gradients(gradients)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter <= 0:
-        raise ValueError("max_iter must be positive")
-
-    m = g.shape[0]
-    if m == 1:
+    if g.shape[0] == 1:
         # Single objective: plain gradient descent, bit for bit.
         return DescentResult(
             weights=np.ones(1),
@@ -97,24 +88,11 @@ def min_norm_point(gradients, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_
             iterations=0,
         )
 
-    gram = g @ g.T
-    lam, converged, iterations = _frank_wolfe(gram, tol, max_iter)[:3]
-
-    if m <= 3:
-        lam_exact = _pair_weights(gram) if m == 2 else _face_weights(gram)
-        value_exact = float(lam_exact @ gram @ lam_exact)
-        value_fw = float(lam @ gram @ lam)
-        # The exact solution bounds Frank-Wolfe from below, while convexity
-        # bounds a converged run by twice the gap tolerance above the
-        # optimum. Rounding scales with the Gram entries, not the value.
-        dust = 1e-12 * (1.0 + float(np.abs(gram).max()))
-        too_low = value_fw < value_exact - dust
-        too_high = converged and value_fw > value_exact + 2.0 * tol + dust
-        if too_low or too_high:
-            raise RuntimeError(
-                "Frank-Wolfe disagrees with the closed-form small-m solution"
-            )
-        lam = lam_exact
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = g @ g.T
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix of the gradients overflows")
+    lam, iterations = _wolfe(gram)
 
     combined = lam @ g
     norm_sq = float(combined @ combined)
@@ -126,90 +104,61 @@ def min_norm_point(gradients, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_
         direction=-combined,
         combined_norm_sq=norm_sq,
         gap=gap,
-        converged=converged,
+        converged=gap <= DEFAULT_TOL,
         iterations=iterations,
     )
 
 
-def _frank_wolfe(gram: np.ndarray, tol: float, max_iter: int):
-    """Frank-Wolfe on f(lam) = lam' M lam over the simplex.
+def _wolfe(gram: np.ndarray):
+    """Wolfe's algorithm on f(lam) = lam' G lam over the simplex.
 
-    Returns (best weights, converged, iterations, per-iterate f history).
+    Returns (weights, corral solves).
     """
     m = gram.shape[0]
-    lam = np.full(m, 1.0 / m)
-    best_lam = lam
-    best_f = np.inf
-    history: list[float] = []
-    converged = False
+    # Rounding in the Gram products scales with their entries, not with f.
+    dust = 1e-12 * (1.0 + float(np.abs(gram).max()))
+    start = int(np.argmin(np.diag(gram)))
+    corral = [start]
+    lam = np.zeros(m)
+    lam[start] = 1.0
     iterations = 0
-    for iterations in range(max_iter + 1):
+    while iterations < _MAX_ITER:
         grad = gram @ lam
-        f = float(lam @ grad)
-        history.append(f)
-        if f < best_f:
-            best_f = f
-            best_lam = lam
         j = int(np.argmin(grad))
-        gap = f - float(grad[j])
-        if gap <= tol:
-            # Prefer the certified iterate; with exact line search it can
-            # trail the best f seen only by rounding dust.
-            converged = True
-            best_lam = lam
+        if float(lam @ grad) - float(grad[j]) <= dust or j in corral:
             break
-        if iterations == max_iter:
-            break
-        # Exact line search toward vertex j for this quadratic.
-        denom = f - 2.0 * float(grad[j]) + float(gram[j, j])
-        step = 1.0 if denom <= 0.0 else min(1.0, gap / denom)
-        lam = (1.0 - step) * lam
-        lam[j] += step
-    best_lam = np.maximum(best_lam, 0.0)
-    best_lam /= best_lam.sum()
-    return best_lam, converged, iterations, history
+        corral.append(j)
+        while iterations < _MAX_ITER:
+            iterations += 1
+            alpha = _affine_minimizer(gram[np.ix_(corral, corral)])
+            if alpha.min() > 0.0:
+                lam = np.zeros(m)
+                lam[corral] = alpha
+                break
+            # Step from the current point toward the affine minimizer until
+            # the first weight reaches zero, and drop that gradient.
+            beta = lam[corral]
+            out = alpha <= 0.0
+            ratios = beta[out] / np.maximum(beta[out] - alpha[out], np.finfo(float).tiny)
+            step = float(ratios.min())
+            beta = beta + step * (alpha - beta)
+            beta[np.flatnonzero(out)[int(np.argmin(ratios))]] = 0.0
+            lam = np.zeros(m)
+            lam[corral] = np.maximum(beta, 0.0)
+            corral = [i for i in corral if lam[i] > 0.0]
+    return lam, iterations
 
 
-def _pair_weights(gram: np.ndarray) -> np.ndarray:
-    """Closed-form minimizer for two gradients: project the segment minimum."""
-    denom = gram[0, 0] - 2.0 * gram[0, 1] + gram[1, 1]
-    if denom <= 0.0:
-        # ||g0 - g1||^2 = 0: the gradients coincide and every lam is optimal.
-        return np.array([0.5, 0.5])
-    t = min(1.0, max(0.0, (gram[0, 0] - gram[0, 1]) / denom))
-    return np.array([1.0 - t, t])
+def _affine_minimizer(gram_s: np.ndarray) -> np.ndarray:
+    """Weights summing to one that minimize alpha' G_S alpha.
 
-
-def _face_weights(gram: np.ndarray) -> np.ndarray:
-    """Exact minimizer for three gradients by enumerating simplex faces.
-
-    The minimum is attained at a vertex, on an edge (the clamped segment
-    projection solves those exactly, degenerate cases included), or at an
-    interior stationary point found by the equality-constrained KKT
-    system. A singular KKT system means the reduced Hessian has a null
-    direction inside the constraint plane, so the minimizer set is a line
-    that reaches the boundary and the edge candidates already carry the
-    minimal value.
+    Solves the bordered system [[G_S, 1], [1', 0]] by least squares, which
+    stays defined when rounding leaves the corral nearly affinely dependent.
     """
-    m = gram.shape[0]
-    candidates = list(np.eye(m))
-    for i, j in combinations(range(m), 2):
-        pair = _pair_weights(gram[np.ix_([i, j], [i, j])])
-        lam = np.zeros(m)
-        lam[i], lam[j] = pair[0], pair[1]
-        candidates.append(lam)
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * gram
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    try:
-        interior = np.linalg.solve(kkt, rhs)[:m]
-    except np.linalg.LinAlgError:
-        interior = None
-    if interior is not None and np.isfinite(interior).all() and interior.min() >= -1e-12:
-        lam = np.maximum(interior, 0.0)
-        candidates.append(lam / lam.sum())
-    values = [float(lam @ gram @ lam) for lam in candidates]
-    return candidates[int(np.argmin(values))]
+    k = gram_s.shape[0]
+    bordered = np.ones((k + 1, k + 1))
+    bordered[:k, :k] = gram_s
+    bordered[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    return np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]

@@ -325,8 +325,8 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
             if healthy:
                 try:
                     solution = min_norm_point(grads)
-                except (ValueError, RuntimeError):
-                    # Finite gradients can still overflow the Gram matrix.
+                except ValueError:
+                    # Finite gradients can still overflow their Gram matrix.
                     healthy = False
                 else:
                     norm_sq = solution.combined_norm_sq
@@ -374,10 +374,8 @@ def train(cfg: TrainConfig) -> TrainResult:
 def compare_methods(cfg_base: TrainConfig) -> TrainResult:
     """Train all four methods on identical seeds and environment.
 
-    For each method and seed, the evaluation checkpoint with the highest
-    expected product is selected; the table averages those checkpoints
-    across seeds and reports values scaled by 100. Writes metrics.csv and
-    table1_analog.csv when out_dir is set.
+    Writes metrics.csv and table1_analog.csv (see `comparison_table`) when
+    out_dir is set.
     """
     combined = TrainResult()
     for method in METHODS:
@@ -388,7 +386,10 @@ def compare_methods(cfg_base: TrainConfig) -> TrainResult:
     if cfg_base.out_dir is not None:
         os.makedirs(cfg_base.out_dir, exist_ok=True)
         write_metrics_csv(combined.records, os.path.join(cfg_base.out_dir, "metrics.csv"))
-        _write_table(combined.records, cfg_base, os.path.join(cfg_base.out_dir, "table1_analog.csv"))
+        rows = comparison_table(combined.records, cfg_base.env.m)
+        table_path = os.path.join(cfg_base.out_dir, "table1_analog.csv")
+        with open(table_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(",".join(row) + "\n" for row in rows))
     return combined
 
 
@@ -404,10 +405,15 @@ def select_best_records(records: list, method: str) -> list:
     return chosen
 
 
-def _write_table(records: list, cfg: TrainConfig, path: str) -> None:
-    m = cfg.env.m
-    header = ["method"] + [f"objective_{i}" for i in range(m)] + ["product", "average"]
-    lines = [",".join(header)]
+def comparison_table(records: list, m: int) -> list:
+    """The comparison table as rows of strings: a header, then one row per
+    method that has records.
+
+    For each method and seed, the evaluation checkpoint with the highest
+    expected product is selected; a row averages those checkpoints across
+    seeds and reports values scaled by 100, shortest round-trip formatted.
+    """
+    rows = [["method"] + [f"objective_{i}" for i in range(m)] + ["product", "average"]]
     for method in METHODS:
         best = select_best_records(records, method)
         if not best:
@@ -418,9 +424,8 @@ def _write_table(records: list, cfg: TrainConfig, path: str) -> None:
         cells = [method]
         cells += [repr(float(x) * 100.0) for x in means]
         cells += [repr(product * 100.0), repr(average * 100.0)]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append(cells)
+    return rows
 
 
 # ---------------------------------------------------------------------------

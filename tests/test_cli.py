@@ -1,13 +1,16 @@
 """Exit codes and artifact wiring for the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import moprompt
 from moprompt.cli import main
 from moprompt.runner import read_metrics_csv
 
@@ -134,9 +137,22 @@ def test_compare_subcommand_writes_table(tmp_path, capsys):
     assert {r.method for r in records} == {"average", "product", "hvi", "mgda"}
 
 
+def test_compare_without_out_dir_prints_table_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml")
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--config", cfg]) == 0
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert printed[0] == ["method", "objective_0", "objective_1", "product", "average"]
+    assert [row[0] for row in printed[1:]] == ["average", "product", "hvi", "mgda"]
+    assert all(len(row) == 5 for row in printed)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.yaml"]
+
+
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml")
     out = tmp_path / "run"
+    # The child imports the same package as this test, installed or not.
+    path = [str(Path(moprompt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [
             sys.executable,
@@ -150,6 +166,7 @@ def test_module_entrypoint_runs_in_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "metrics.csv").exists()
