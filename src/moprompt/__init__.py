@@ -7,7 +7,7 @@ gradient descent on the per-objective losses.
 """
 
 from .envs import EnvSpec, builtin_env, rollout
-from .geometry import dominates, hypervolume, hypervolume_mc, pareto_front
+from .geometry import hypervolume, pareto_front
 from .mgda import DescentResult, min_norm_point
 from .policy import (
     PolicyConfig,
@@ -48,9 +48,7 @@ __all__ = [
     "EnvSpec",
     "builtin_env",
     "rollout",
-    "dominates",
     "hypervolume",
-    "hypervolume_mc",
     "pareto_front",
     "DescentResult",
     "min_norm_point",

@@ -1,4 +1,4 @@
-"""Dominance relations, Pareto fronts, and hypervolume over reward point sets.
+"""Pareto fronts and hypervolume over reward point sets.
 
 All routines treat objectives as maximization targets: a point is better when
 every coordinate is at least as large and some coordinate is strictly larger.
@@ -7,25 +7,49 @@ boxes spanned between a reference point and each set member. Points falling
 below the reference point in some coordinate are clamped to it, so they simply
 contribute a degenerate box instead of raising.
 
-The exact computation uses a dimension sweep for two objectives and recursive
-slicing on the first coordinate for three or more; `hypervolume_mc` provides
-an independent Monte-Carlo estimate used to validate the exact path.
+The exact computation sweeps: a 2-d sweep over the first coordinate for two
+objectives, a 3-d sweep for three, and recursive slicing on the first
+coordinate for four or more. Every path performs the same floating-point
+operations, in the same order, as slicing the distinct nondominated points
+in descending lexicographic order and sweeping each slab's 2-d section.
 
-The nondominated filter is vectorized: after collapsing duplicates it builds
-the "at least as large in every coordinate" relation one block of candidate
-columns at a time, so memory stays O(n * block) rather than O(n^2 * m). Only
-sets that are about to be sliced are filtered, because their slab boundaries
-must come from nondominated points alone. Two-objective sets, including the
-2-d cross sections of a 3-d slice, go to the sweep unfiltered: dominated and
-duplicate points never raise its running maximum, so the sweep performs the
-same floating-point operations, in the same order, as on the filtered front.
+Two-objective sets, including the 2-d sections of the slabs, go to the 2-d
+sweep unfiltered: dominated and duplicate points never raise its running
+maximum, so it adds exactly the terms it would add on the filtered front.
+
+The 3-d sweep (after Kung, Luccio & Preparata, JACM 1975, and HV3D of
+Fonseca, Paquete & Lopez-Ibanez, CEC 2006) sorts the points once, in
+descending lexicographic order. It keeps a staircase: the distinct
+nondominated (y, z) projections of the front points seen so far, y ascending
+and z descending.
+
+- A row is dominated, or repeats an earlier row, exactly when some step of
+  the staircase is at least as large in both y and z. Every earlier row is
+  at least as large in x, so such a step comes from a point at least as
+  large in every coordinate; "at least as large" includes equality, so a
+  repeated row is caught too. Conversely, whatever dominates or repeats a
+  row sorts before it, and is either on the staircase or covered by a step
+  that is. Such rows are skipped, so no separate filter runs.
+- The slab below a front point is covered by the front points before it.
+  The 2-d sweep of the slab's section adds area only at the distinct
+  nondominated (y, z) points among them, in descending y, and those are the
+  staircase's steps. Walking the staircase from the top therefore repeats
+  the sweep's additions term by term, and the slab sum keeps slicing's order
+  and its zero-width skips.
+
+The nondominated filter for four or more objectives and for `pareto_front`
+is vectorized: after collapsing duplicates it builds the "at least as large
+in every coordinate" relation one block of candidate columns at a time, so
+memory stays O(n * block) rather than O(n^2 * m).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-__all__ = ["dominates", "pareto_front", "hypervolume", "hypervolume_mc"]
+__all__ = ["pareto_front", "hypervolume"]
 
 
 def _as_points(points) -> np.ndarray:
@@ -46,19 +70,6 @@ def _as_ref(ref, m: int) -> np.ndarray:
     if not np.isfinite(r).all():
         raise ValueError("reference point must be finite")
     return r
-
-
-def dominates(a, b) -> bool:
-    """True iff `a` is >= `b` in every objective and > in at least one.
-
-    Raises:
-        ValueError: if the two vectors differ in dimension.
-    """
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    return bool(np.all(av >= bv) and np.any(av > bv))
 
 
 def pareto_front(points) -> np.ndarray:
@@ -127,51 +138,6 @@ def hypervolume(points, ref) -> float:
     return _hv(shifted)
 
 
-# Elements of the sample-versus-point comparison in one `hypervolume_mc` chunk.
-_MC_ELEMENTS = 1 << 22
-
-
-def hypervolume_mc(points, ref, n_samples: int, seed: int) -> float:
-    """Monte-Carlo hypervolume estimate, the oracle for the exact routine.
-
-    Samples uniformly inside the bounding box [ref, componentwise max of the
-    set] and scales the dominated fraction by the box volume. Unbiased, and
-    deterministic for a fixed seed.
-
-    Args:
-        points: (n, m) array-like of reward vectors.
-        ref: length-m reference point.
-        n_samples: number of uniform samples; must be positive.
-        seed: RNG seed.
-
-    Raises:
-        ValueError: if n_samples is not positive, or on dimension mismatch.
-    """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    pts = _as_points(points)
-    if len(pts) == 0:
-        return 0.0
-    r = _as_ref(ref, pts.shape[1])
-    extent = np.maximum(pts.max(axis=0), r) - r
-    box_volume = float(np.prod(extent))
-    if box_volume == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    # The generator draws doubles in sequence, so the chunking, which bounds
-    # the (chunk, n, m) comparison temporary, does not change the samples.
-    max_chunk = max(1, _MC_ELEMENTS // pts.size)
-    hits = 0
-    remaining = n_samples
-    while remaining > 0:
-        chunk = min(remaining, max_chunk)
-        q = r + rng.random((chunk, len(r))) * extent
-        dominated = (q[:, None, :] <= pts[None, :, :]).all(axis=2).any(axis=1)
-        hits += int(dominated.sum())
-        remaining -= chunk
-    return box_volume * hits / n_samples
-
-
 def _hv(pts: np.ndarray) -> float:
     # pts: strictly positive coordinates, measured against the origin; may
     # hold dominated and duplicate points.
@@ -180,6 +146,8 @@ def _hv(pts: np.ndarray) -> float:
         return float(pts.max())
     if m == 2:
         return _hv_sweep_2d(pts)
+    if m == 3:
+        return _hv_sweep_3d(pts)
     return _hv_slice(_nondominated(pts))
 
 
@@ -199,13 +167,52 @@ def _hv_sweep_2d(pts: np.ndarray) -> float:
     return float(area)
 
 
+def _hv_sweep_3d(pts: np.ndarray) -> float:
+    # One pass in descending lexicographic order over a (y, z) staircase;
+    # see the module docstring for why it matches slicing the filtered front.
+    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
+    # Three column lists iterate faster than n row lists.
+    cols = pts[order].T.tolist()
+    ys: list[float] = []
+    zs: list[float] = []
+    total = 0.0
+    x_prev = cols[0][0]
+    for x, y, z in zip(*cols):
+        i = bisect_left(ys, y)
+        if i < len(ys) and zs[i] >= z:
+            continue  # dominated, or a repeat
+        width = x_prev - x
+        if width != 0.0:
+            total += width * _staircase_area(ys, zs)
+        x_prev = x
+        # Replace the steps this point covers: y no larger, z no larger.
+        j = bisect_right(ys, y)
+        k = i
+        while k > 0 and zs[k - 1] <= z:
+            k -= 1
+        ys[k:j] = [y]
+        zs[k:j] = [z]
+    # The last slab reaches down to the origin.
+    return total + x_prev * _staircase_area(ys, zs)
+
+
+def _staircase_area(ys: list[float], zs: list[float]) -> float:
+    # The 2-d sweep's sum over the staircase, in descending y.
+    area = 0.0
+    best_z = 0.0
+    for y, z in zip(reversed(ys), reversed(zs)):
+        area += y * (z - best_z)
+        best_z = z
+    return area
+
+
 def _hv_slice(pts: np.ndarray) -> float:
     # Integrate (m-1)-dimensional cross sections along the first coordinate
     # of a nondominated set. The slab between consecutive sorted first
     # coordinates is covered exactly by the points at or above its upper face.
     keys = tuple(-pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
     pts = pts[np.lexsort(keys)]
-    xs = pts[:, 0]
+    xs = pts[:, 0].tolist()
     total = 0.0
     for i in range(len(pts)):
         lower = xs[i + 1] if i + 1 < len(pts) else 0.0

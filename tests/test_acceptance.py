@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from moprompt.envs import builtin_env
-from moprompt.geometry import hypervolume, hypervolume_mc
+from moprompt.geometry import hypervolume
 from moprompt.mgda import min_norm_point
 from moprompt.policy import (
     PolicyConfig,
@@ -34,6 +34,7 @@ from moprompt.runner import (
     select_best_records,
     train,
 )
+from oracles import hypervolume_mc
 
 TAIL_EVALS = 5
 

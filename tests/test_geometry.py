@@ -2,9 +2,10 @@
 
 The exact hypervolume routine is checked against two independent oracles:
 an inclusion-exclusion sum over all nonempty subsets (exact, exponential in
-the number of points) and a seeded Monte-Carlo estimate. A test-local copy
-of the earlier per-point Pareto filter and slicing recursion pins the exact
-floating-point output: the vectorized filter must not move a single bit.
+the number of points), defined here, and a seeded Monte-Carlo estimate from
+the `oracles` helper module. A test-local copy of the earlier per-point
+Pareto filter and slicing recursion pins the exact floating-point output:
+the vectorized filter and the 3-d sweep must not move a single bit.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from moprompt import geometry
-from moprompt.geometry import dominates, hypervolume, hypervolume_mc, pareto_front
+from moprompt.geometry import hypervolume, pareto_front
+from oracles import dominates, hypervolume_mc
 
 
 def hv_inclusion_exclusion(points, ref) -> float:
@@ -261,7 +264,7 @@ def test_hypervolume_mc_chunks_match_one_draw(monkeypatch):
     q = ref + rng.random((n_samples, 4)) * extent
     hits = int((q[:, None, :] <= pts[None, :, :]).all(axis=2).any(axis=1).sum())
     one_draw = float(np.prod(extent)) * hits / n_samples
-    monkeypatch.setattr(geometry, "_MC_ELEMENTS", 16 * 4 * 97)
+    monkeypatch.setattr(oracles, "_MC_ELEMENTS", 16 * 4 * 97)
     assert hypervolume_mc(pts, ref, n_samples, seed=3) == one_draw
 
 
@@ -295,6 +298,54 @@ def test_hypervolume_bit_identical_to_reference(m, data):
     pts, ref = data.draw(tied_point_sets(m))
     assert hypervolume(pts, ref) == reference_hypervolume(pts, ref)
     assert np.array_equal(pareto_front(pts), reference_front(pts))
+
+
+def batch_scale_point_sets(m: int, n_max: int, count: int):
+    """Seeded (points, ref) pairs of up to `n_max` rows, the size of a rollout batch.
+
+    The kinds cycle: simplex fronts (every distinct row nondominated, so the
+    staircase grows long and each new row splices out a run of steps),
+    simplex fronts whose first coordinate is rounded (many equal x, so
+    zero-width slabs), rounded coordinates half on and half below the
+    simplex, and coarse uniform draws with points below the reference.
+    Every set repeats some rows.
+    """
+    rng = np.random.default_rng(1000 + m)
+    for t in range(count):
+        n = int(rng.integers(n_max // 2, n_max + 1))
+        distinct = n - int(rng.integers(1, n // 4 + 1))
+        kind = t % 4
+        if kind in (0, 1):
+            pool = rng.dirichlet(np.ones(m), size=distinct)
+            if kind == 1:
+                pool[:, 0] = np.round(pool[:, 0], 1)
+        elif kind == 2:
+            half = distinct // 2
+            pool = np.vstack(
+                [
+                    rng.dirichlet(np.ones(m), size=half),
+                    rng.uniform(0.0, 1.0 / m, size=(distinct - half, m)),
+                ]
+            )
+            pool = np.round(pool, 2)
+        else:
+            pool = np.round(rng.uniform(-0.25, 1.0, size=(distinct, m)), 1)
+        pts = np.vstack([pool, pool[rng.integers(0, distinct, size=n - distinct)]])
+        pts = pts[rng.permutation(n)]
+        ref = np.zeros(m) if t % 2 == 0 else np.round(rng.uniform(-0.2, 0.2, size=m), 1)
+        yield pts, ref
+
+
+@pytest.mark.parametrize("m,n_max,count", [(3, 150, 40), (4, 64, 16)])
+def test_hypervolume_bit_identical_at_batch_scale(m, n_max, count):
+    for pts, ref in batch_scale_point_sets(m, n_max, count):
+        assert hypervolume(pts, ref) == reference_hypervolume(pts, ref)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_hypervolume_returns_builtin_float(m):
+    pts = random_points(m, 12, m)
+    assert type(hypervolume(pts, np.zeros(m))) is float
 
 
 # ---------------------------------------------------------------------------
