@@ -12,17 +12,14 @@ from .mgda import DescentResult, min_norm_point
 from .policy import (
     PolicyConfig,
     PolicyParams,
-    PromptSample,
     init_policy,
     load_checkpoint,
-    param_count,
     per_objective_loss_grads,
     sample_prompts,
     save_checkpoint,
     sql_loss_and_grad,
 )
 from .rewards import (
-    EvaluationMetrics,
     aggregate_average,
     aggregate_hvi,
     aggregate_product,
@@ -40,7 +37,7 @@ from .runner import (
     train,
     write_metrics_csv,
 )
-from .seeding import derive_seed, unit_floats
+from .seeding import derive_seed
 
 __version__ = "0.1.0"
 
@@ -54,15 +51,12 @@ __all__ = [
     "min_norm_point",
     "PolicyConfig",
     "PolicyParams",
-    "PromptSample",
     "init_policy",
     "load_checkpoint",
-    "param_count",
     "per_objective_loss_grads",
     "sample_prompts",
     "save_checkpoint",
     "sql_loss_and_grad",
-    "EvaluationMetrics",
     "aggregate_average",
     "aggregate_hvi",
     "aggregate_product",
@@ -78,6 +72,5 @@ __all__ = [
     "train",
     "write_metrics_csv",
     "derive_seed",
-    "unit_floats",
     "__version__",
 ]

@@ -18,7 +18,9 @@ scores per generated output, with known Pareto structure:
   to tug-of-war under the same seed, because outlier decisions come from
   their own RNG stream.
 
-Rewards are always the latent clamped to [0, 1] componentwise.
+Rewards are always the latent clamped to [0, 1] componentwise. One
+`rollout` call scores all k prompts of a training step: a (k, T) token
+array in, the step's (k, k_hat, m) reward array out.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .seeding import (
     ROLE_ARMS,
@@ -114,12 +117,13 @@ def builtin_env(
 
 
 def _vote_fractions(env: EnvSpec, tokens: np.ndarray) -> np.ndarray:
-    votes = np.bincount(tokens % env.m, minlength=env.m)
+    """(k, m) fraction of each row's tokens that vote for each axis."""
+    votes = (tokens[:, :, None] % env.m == np.arange(env.m)).sum(axis=1)
     return votes / env.prompt_length
 
 
 def _arm_mean(env: EnvSpec, tokens: np.ndarray) -> np.ndarray:
-    """Hash the token sequence to its fixed mean vector.
+    """Hash one token sequence to its fixed mean vector.
 
     Exponential draws normalized to the simplex give negatively correlated
     components; a per-arm amplitude keeps means spread through [0, 1]^m.
@@ -132,36 +136,46 @@ def _arm_mean(env: EnvSpec, tokens: np.ndarray) -> np.ndarray:
     return amplitude * np.array(exps) / total
 
 
-def rollout(env: EnvSpec, prompt, input_index: int, k_hat: int, seed: int) -> np.ndarray:
-    """Draw the (k_hat, m) float64 reward batch for one prompt and one input.
+def rollout(env: EnvSpec, tokens, input_index: int, k_hat: int, seed) -> np.ndarray:
+    """Draw the (k, k_hat, m) float64 reward batches of k prompts for one input.
 
-    Deterministic per (env, prompt tokens, seed). Noise and outlier
-    replacement use disjoint RNG streams derived from the seed, so setting
-    outlier_prob to zero reproduces the noise stream exactly.
+    `tokens` is a (k, T) array with one seed per row, or one (T,) prompt
+    with one int seed, which returns its (k_hat, m) batch. Row j depends
+    only on (env, tokens[j], seed[j]), so it equals the single-prompt call.
+    Noise and outlier replacement use disjoint RNG streams derived from the
+    seed, so setting outlier_prob to zero reproduces the noise stream exactly.
 
     Raises:
-        ValueError: for an invalid input index, bad k_hat, or a prompt that
-            does not match the environment's token space.
+        ValueError: for an invalid input index, bad k_hat, not one seed per
+            row, or prompts that do not match the environment's token space.
     """
-    tokens = np.asarray(getattr(prompt, "tokens", prompt), dtype=np.int64).ravel()
+    rows = np.asarray(tokens, dtype=np.int64)
+    single = rows.ndim == 1
+    rows = rows.reshape(1, -1) if single else rows
+    seeds = [seed] if single else list(seed)
     if not 0 <= input_index < env.inputs.shape[0]:
         raise ValueError(f"input_index {input_index} out of range for {env.inputs.shape[0]} inputs")
     if k_hat <= 0:
         raise ValueError("k_hat must be positive")
-    if tokens.shape[0] != env.prompt_length:
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != env.prompt_length:
         raise ValueError("prompt length does not match environment")
-    if tokens.min() < 0 or tokens.max() >= env.vocab_size:
+    if len(seeds) != rows.shape[0]:
+        raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} prompts")
+    if rows.min() < 0 or rows.max() >= env.vocab_size:
         raise ValueError("token id out of range")
 
     if env.name == "gaussian-arms":
-        base = _arm_mean(env, tokens)
+        base = np.stack([_arm_mean(env, row) for row in rows])
     else:
-        base = _vote_fractions(env, tokens)
-
-    noise_rng = np.random.default_rng(derive_seed(seed, ROLE_NOISE))
-    latents = base + env.noise_scale * noise_rng.standard_normal((k_hat, env.m))
+        base = _vote_fractions(env, rows)
+    # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.
+    noise = np.empty((rows.shape[0], k_hat, env.m))
+    for j, s in enumerate(seeds):
+        Generator(PCG64(derive_seed(s, ROLE_NOISE))).standard_normal(out=noise[j])
+    latents = base[:, None, :] + env.noise_scale * noise
     if env.name == "outlier-prone":
-        outlier_rng = np.random.default_rng(derive_seed(seed, ROLE_OUTLIER))
-        mask = outlier_rng.random(k_hat) < env.outlier_prob
-        latents[mask] = OUTLIER_LATENT
-    return np.clip(latents, 0.0, 1.0)
+        for j, s in enumerate(seeds):
+            draws = Generator(PCG64(derive_seed(s, ROLE_OUTLIER))).random(k_hat)
+            latents[j, draws < env.outlier_prob] = OUTLIER_LATENT
+    rewards = np.clip(latents, 0.0, 1.0)
+    return rewards[0] if single else rewards

@@ -4,7 +4,9 @@ The policy scores tokens position by position with a two-layer tanh MLP on
 top of a fixed per-input context embedding: the input at position t is the
 concatenation of the context vector, a one-hot position indicator, and the
 one-hot of the previously chosen token (zeros at t = 0). Sampling draws
-tokens autoregressively from softmax(logits / temperature).
+tokens autoregressively from softmax(logits / temperature). A step's k
+prompts for one input are one (k, T) token array from sampling to loss;
+the losses take that array and the one context vector it was drawn for.
 
 Training minimizes the on-policy soft-Q loss: each chosen token's logit is
 regressed onto a stop-gradient target, which is the soft state value
@@ -17,15 +19,13 @@ differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 __all__ = [
     "PolicyConfig",
     "PolicyParams",
-    "PromptSample",
-    "param_count",
     "init_policy",
     "sample_prompts",
     "sql_loss_and_grad",
@@ -89,16 +89,6 @@ class PolicyParams:
             raise ValueError("parameters must be finite")
 
 
-@dataclass(frozen=True)
-class PromptSample:
-    """One sampled prompt plus the evidence needed to audit it."""
-
-    tokens: np.ndarray
-    token_logits: np.ndarray
-    log_prob: float
-    context: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
 def param_count(cfg: PolicyConfig) -> int:
     h, v = cfg.hidden_dim, cfg.vocab_size
     return h * cfg.input_dim + h * h + h + v * h + v
@@ -130,11 +120,11 @@ def init_policy(cfg: PolicyConfig, seed: int) -> PolicyParams:
     return PolicyParams(cfg=cfg, flat=np.concatenate(parts))
 
 
-def _forward(cfg: PolicyConfig, flat: np.ndarray, contexts: np.ndarray, tokens: np.ndarray):
-    """Shared forward pass over a batch of complete prompts.
+def _forward(cfg: PolicyConfig, flat: np.ndarray, context: np.ndarray, tokens: np.ndarray):
+    """Shared forward pass over a batch of complete prompts for one input.
 
     Args:
-        contexts: (n, context_dim) context vector per sample.
+        context: (context_dim,) context vector, shared by every sample.
         tokens: (n, T) integer token ids per sample.
 
     Returns:
@@ -144,7 +134,7 @@ def _forward(cfg: PolicyConfig, flat: np.ndarray, contexts: np.ndarray, tokens: 
     w_in, w_h, b_h, w_out, b_out = _views(cfg, flat)
     n, t_len = tokens.shape
     x = np.zeros((n, t_len, cfg.input_dim))
-    x[:, :, : cfg.context_dim] = contexts[:, None, :]
+    x[:, :, : cfg.context_dim] = context
     for t in range(t_len):
         x[:, t, cfg.context_dim + t] = 1.0
         if t > 0:
@@ -162,20 +152,32 @@ def _log_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def sample_prompts(params: PolicyParams, context, k: int, seed: int) -> list[PromptSample]:
-    """Draw k prompts autoregressively; deterministic per seed.
+def _check_context(cfg: PolicyConfig, context) -> np.ndarray:
+    ctx = np.asarray(context, dtype=float).ravel()
+    if ctx.shape[0] != cfg.context_dim:
+        raise ValueError(f"context has dimension {ctx.shape[0]}, expected {cfg.context_dim}")
+    return ctx
+
+
+def sample_prompts(params: PolicyParams, context, k: int, seed: int):
+    """Draw k prompts autoregressively for one context; deterministic per seed.
+
+    Returns:
+        (tokens, logits, log_probs): the (k, T) int64 token ids, the
+        (k, T, V) logits each token was drawn from, and the (k,) log
+        probability of each prompt under the sampling distribution.
 
     Raises:
         ValueError: if k is not positive or the context dimension is wrong.
     """
     cfg = params.cfg
-    ctx = np.asarray(context, dtype=float).ravel()
-    if ctx.shape[0] != cfg.context_dim:
-        raise ValueError(f"context has dimension {ctx.shape[0]}, expected {cfg.context_dim}")
+    ctx = _check_context(cfg, context)
     if k <= 0:
         raise ValueError("k must be positive")
     w_in, w_h, b_h, w_out, b_out = _views(cfg, params.flat)
-    rng = np.random.default_rng(seed)
+    # Row t is the stream a per-position rng.random(k) would draw.
+    draws = np.random.default_rng(seed).random((cfg.prompt_length, k))
+    rows = np.arange(k)
 
     tokens = np.zeros((k, cfg.prompt_length), dtype=np.int64)
     all_logits = np.zeros((k, cfg.prompt_length, cfg.vocab_size))
@@ -186,39 +188,28 @@ def sample_prompts(params: PolicyParams, context, k: int, seed: int) -> list[Pro
         x[:, cfg.context_dim :] = 0.0
         x[:, cfg.context_dim + t] = 1.0
         if t > 0:
-            x[np.arange(k), cfg.context_dim + cfg.prompt_length + tokens[:, t - 1]] = 1.0
+            x[rows, cfg.context_dim + cfg.prompt_length + tokens[:, t - 1]] = 1.0
         h1 = np.tanh(np.tanh(x @ w_in.T) @ w_h.T + b_h)
         logits = h1 @ w_out.T + b_out
         log_p = _log_softmax(logits, cfg.temperature)
         cum = np.exp(log_p).cumsum(axis=1)
-        draw = rng.random(k)
-        chosen = np.minimum((draw[:, None] >= cum).sum(axis=1), cfg.vocab_size - 1)
+        chosen = np.minimum((draws[t][:, None] >= cum).sum(axis=1), cfg.vocab_size - 1)
         tokens[:, t] = chosen
         all_logits[:, t, :] = logits
-        log_probs += log_p[np.arange(k), chosen]
-    return [
-        PromptSample(
-            tokens=tokens[i].copy(),
-            token_logits=all_logits[i].copy(),
-            log_prob=float(log_probs[i]),
-            context=ctx.copy(),
-        )
-        for i in range(k)
-    ]
+        log_probs += log_p[rows, chosen]
+    return tokens, all_logits, log_probs
 
 
-def _stack_samples(cfg: PolicyConfig, samples: list[PromptSample]):
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    tokens = np.stack([s.tokens for s in samples])
-    contexts = np.stack([s.context for s in samples])
-    if tokens.shape[1] != cfg.prompt_length:
-        raise ValueError("sample prompt length does not match config")
-    if contexts.shape[1] != cfg.context_dim:
-        raise ValueError("sample context dimension does not match config")
+def _check_batch(cfg: PolicyConfig, tokens, context, n_rewards: int):
+    """Validate a (k, T) token batch for one context against its rewards."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[0] == 0 or tokens.shape[1] != cfg.prompt_length:
+        raise ValueError(f"expected (k >= 1, {cfg.prompt_length}) tokens, got shape {tokens.shape}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
-    return tokens, contexts
+    if n_rewards != tokens.shape[0]:
+        raise ValueError("one reward per sample is required")
+    return tokens, _check_context(cfg, context)
 
 
 def _loss_targets(cfg: PolicyConfig, logits: np.ndarray, rewards: np.ndarray, n: int):
@@ -252,8 +243,13 @@ def _backward(cfg: PolicyConfig, flat: np.ndarray, rows, h0, h1, d_logits) -> np
     )
 
 
-def sql_loss_and_grad(params: PolicyParams, samples: list[PromptSample], per_sample_reward):
+def sql_loss_and_grad(params: PolicyParams, tokens, context, rewards):
     """On-policy soft-Q loss and its analytic parameter gradient.
+
+    Args:
+        tokens: (k, T) token ids, as returned by sample_prompts.
+        context: the one context vector all k prompts were drawn for.
+        rewards: (k,) terminal reward per prompt.
 
     Returns:
         (loss, grad) with grad flat in the parameter layout.
@@ -261,46 +257,34 @@ def sql_loss_and_grad(params: PolicyParams, samples: list[PromptSample], per_sam
     Raises:
         ValueError: if rewards are misaligned with samples or non-finite.
     """
-    cfg = params.cfg
-    rewards = np.asarray(per_sample_reward, dtype=float).ravel()
-    if rewards.shape[0] != len(samples):
-        raise ValueError("one reward per sample is required")
-    if not np.isfinite(rewards).all():
-        raise ValueError("rewards must be finite")
-    tokens, contexts = _stack_samples(cfg, samples)
-    n, t_len = tokens.shape
-    rows, h0, h1, logits = _forward(cfg, params.flat, contexts, tokens)
-    targets = _loss_targets(cfg, logits, rewards, n)
-
-    flat_tokens = tokens.reshape(n * t_len)
-    chosen_q = logits[np.arange(n * t_len), flat_tokens]
-    residual = chosen_q - targets.reshape(n * t_len)
-    loss = 0.5 * float(residual @ residual) / (n * t_len)
-
-    d_logits = np.zeros_like(logits)
-    d_logits[np.arange(n * t_len), flat_tokens] = residual / (n * t_len)
-    return loss, _backward(cfg, params.flat, rows, h0, h1, d_logits)
+    rewards = np.asarray(rewards, dtype=float).ravel()
+    losses, grads = per_objective_loss_grads(params, tokens, context, rewards[:, None])
+    return float(losses[0]), grads[0]
 
 
-def per_objective_loss_grads(params: PolicyParams, samples: list[PromptSample], reward_vectors):
+def per_objective_loss_grads(params: PolicyParams, tokens, context, reward_vectors):
     """One soft-Q loss gradient per objective, sharing a single forward pass.
 
     Args:
-        reward_vectors: (n, m) array-like, one reward vector per sample.
+        tokens, context: as for sql_loss_and_grad.
+        reward_vectors: (k, m) array-like, one reward vector per sample.
 
     Returns:
         (losses, grads): arrays of shape (m,) and (m, n_params). Row i is
-        bit-identical to sql_loss_and_grad with the i-th reward column.
+        the soft-Q loss and gradient for the i-th reward column alone.
+
+    Raises:
+        ValueError: if rewards are misaligned with samples or non-finite.
     """
     cfg = params.cfg
     rv = np.asarray(reward_vectors, dtype=float)
-    if rv.ndim != 2 or rv.shape[0] != len(samples) or rv.shape[1] == 0:
+    if rv.ndim != 2 or rv.shape[1] == 0:
         raise ValueError("reward_vectors must be (n_samples, m) with m >= 1")
+    tokens, ctx = _check_batch(cfg, tokens, context, rv.shape[0])
     if not np.isfinite(rv).all():
         raise ValueError("rewards must be finite")
-    tokens, contexts = _stack_samples(cfg, samples)
     n, t_len = tokens.shape
-    rows, h0, h1, logits = _forward(cfg, params.flat, contexts, tokens)
+    rows, h0, h1, logits = _forward(cfg, params.flat, ctx, tokens)
     flat_tokens = tokens.reshape(n * t_len)
     chosen_q = logits[np.arange(n * t_len), flat_tokens]
 

@@ -3,7 +3,9 @@
 A reward batch is one (n, m) array: a row of m objective scores per
 generated output. Each aggregator collapses it to the float that becomes
 the prompt's terminal reward in the soft-Q loss: the grand mean, the
-expected product, or the hypervolume of the batch as a point set.
+expected product, or the hypervolume of the batch as a point set. A
+training step's (k, n, m) stack of batches, one per prompt, collapses in
+one call to the (k,) array of those floats.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 from .geometry import hypervolume
 
 __all__ = [
-    "EvaluationMetrics",
     "aggregate_average",
     "aggregate_product",
     "aggregate_hvi",
@@ -33,25 +34,27 @@ class EvaluationMetrics:
     hvi: float
 
 
-def _as_batch(batch) -> np.ndarray:
+def _as_batch(batch, ndims=(2, 3)) -> np.ndarray:
     arr = np.asarray(batch, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"expected a nonempty (n, m) reward batch, got shape {arr.shape}")
+    if arr.ndim not in ndims or 0 in arr.shape:
+        raise ValueError(f"expected a nonempty batch with ndim in {ndims}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("reward batch must be finite")
     return arr
 
 
-def aggregate_average(batch) -> float:
+def aggregate_average(batch):
     """The grand mean: mean over samples of each sample's mean objective.
 
     Raises:
         ValueError: on an empty or non-finite batch.
     """
-    return float(_as_batch(batch).mean(axis=1).mean())
+    arr = _as_batch(batch)
+    out = arr.mean(axis=-1).mean(axis=-1)
+    return float(out) if arr.ndim == 2 else out
 
 
-def aggregate_product(batch) -> float:
+def aggregate_product(batch):
     """The expected product: mean over samples of the product of objectives.
 
     Raises:
@@ -60,19 +63,24 @@ def aggregate_product(batch) -> float:
     arr = _as_batch(batch)
     if (arr < 0.0).any():
         raise ValueError("product aggregation requires nonnegative rewards")
-    return float(arr.prod(axis=1).mean())
+    out = arr.prod(axis=-1).mean(axis=-1)
+    return float(out) if arr.ndim == 2 else out
 
 
-def aggregate_hvi(batch, ref) -> float:
+def aggregate_hvi(batch, ref):
     """Hypervolume of the batch as a point set above ref.
 
     Dominated samples add nothing; the volume has no canonical per-sample
-    decomposition, so the batch yields one scalar.
+    decomposition, so each (n, m) batch yields one scalar, from one
+    hypervolume call.
 
     Raises:
         ValueError: on an empty batch or a reference point of wrong dimension.
     """
-    return hypervolume(_as_batch(batch), ref)
+    arr = _as_batch(batch)
+    if arr.ndim == 2:
+        return hypervolume(arr, ref)
+    return np.array([hypervolume(b, ref) for b in arr])
 
 
 def evaluation_metrics(batch, ref) -> EvaluationMetrics:
@@ -81,7 +89,7 @@ def evaluation_metrics(batch, ref) -> EvaluationMetrics:
     Raises:
         ValueError: on an empty batch.
     """
-    arr = _as_batch(batch)
+    arr = _as_batch(batch, ndims=(2,))
     per_objective = arr.mean(axis=0)
     return EvaluationMetrics(
         per_objective_means=per_objective,

@@ -3,12 +3,13 @@
 One training step mirrors the batched rollout structure of the volume-based
 and MGDA-based loops: pick the next environment input round-robin, sample k
 prompts from the policy, roll out k_hat outputs per prompt, score them, and
-take one Adam step. Each prompt's rollout is one (k_hat, m) reward array,
+take one Adam step. The step's k prompts travel as arrays: one (k, T) token
+array from `sample_prompts`, one (k, k_hat, m) reward array from `rollout`,
 and the methods differ only in how that array becomes a training signal:
 
-* average / product / hvi: the batch collapses to one scalar per prompt
-  (mean of means, expected product, or hypervolume), which becomes that
-  prompt's terminal reward in the soft-Q loss.
+* average / product / hvi: one aggregator call collapses each prompt's
+  batch to one scalar (mean of means, expected product, or hypervolume),
+  that prompt's terminal reward in the soft-Q loss.
 * mgda: each objective keeps its own per-prompt mean reward and its own
   loss gradient; the update direction is the negated min-norm point of
   those gradients.
@@ -205,7 +206,7 @@ def config_from_dict(data: dict, profile: str = "desk") -> TrainConfig:
     env_seed = env_args.pop("seed")
     try:
         env = builtin_env(name, m=m, seed=env_seed, **env_args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     fields: dict = {"method": data.get("method", "average"), "env": env}
@@ -213,7 +214,10 @@ def config_from_dict(data: dict, profile: str = "desk") -> TrainConfig:
     for section in (run_section, optimizer_section, policy_section):
         fields.update(section)
     if "seeds" in fields:
-        fields["seeds"] = tuple(int(s) for s in fields["seeds"])
+        try:
+            fields["seeds"] = tuple(int(s) for s in fields["seeds"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
     try:
         return TrainConfig(**fields)
     except TypeError as exc:
@@ -260,14 +264,11 @@ def _policy_config(cfg: TrainConfig) -> PolicyConfig:
     )
 
 
-def _prompt_scalar(method: str, rewards: np.ndarray, m: int) -> float:
-    if method == "average":
-        return aggregate_average(rewards)
-    if method == "product":
-        return aggregate_product(rewards)
+def _prompt_scalars(method: str, batch: np.ndarray, m: int) -> np.ndarray:
+    """The (k,) terminal rewards of a (k, k_hat, m) step batch."""
     if method == "hvi":
-        return aggregate_hvi(rewards, np.zeros(m))
-    raise ValueError(f"no aggregator for method {method!r}")
+        return aggregate_hvi(batch, np.zeros(m))
+    return aggregate_average(batch) if method == "average" else aggregate_product(batch)
 
 
 def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int):
@@ -277,10 +278,11 @@ def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int):
     k_hat_eval = max(1, cfg.eval_total_samples // n_inputs)
     batches = []
     for idx in range(n_inputs):
-        prompt = sample_prompts(
+        tokens, _, _ = sample_prompts(
             params, env.inputs[idx], k=1, seed=derive_seed(seed, ROLE_EVAL, idx, 0)
-        )[0]
-        batches.append(rollout(env, prompt, idx, k_hat_eval, derive_seed(seed, ROLE_EVAL, idx, 1)))
+        )
+        eval_seed = derive_seed(seed, ROLE_EVAL, idx, 1)
+        batches.append(rollout(env, tokens[0], idx, k_hat_eval, eval_seed))
     return evaluation_metrics(np.vstack(batches), np.zeros(env.m))
 
 
@@ -310,17 +312,13 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
     result.records.append(_record(cfg, 0, seed, params, norm_sq))
     for step in range(1, cfg.steps + 1):
         input_index = (step - 1) % n_inputs
-        prompts = sample_prompts(
-            params, env.inputs[input_index], cfg.k, derive_seed(seed, ROLE_PROMPTS, step)
-        )
-        batches = [
-            rollout(env, prompt, input_index, cfg.k_hat, derive_seed(seed, ROLE_ROLLOUT, step, j))
-            for j, prompt in enumerate(prompts)
-        ]
+        context = env.inputs[input_index]
+        tokens, _, _ = sample_prompts(params, context, cfg.k, derive_seed(seed, ROLE_PROMPTS, step))
+        rollout_seeds = [derive_seed(seed, ROLE_ROLLOUT, step, j) for j in range(cfg.k)]
+        batch = rollout(env, tokens, input_index, cfg.k_hat, rollout_seeds)
 
         if cfg.method == "mgda":
-            per_prompt = np.stack([batch.mean(axis=0) for batch in batches])
-            losses, grads = per_objective_loss_grads(params, prompts, per_prompt)
+            losses, grads = per_objective_loss_grads(params, tokens, context, batch.mean(axis=1))
             healthy = bool(np.isfinite(losses).all() and np.isfinite(grads).all())
             if healthy:
                 try:
@@ -333,8 +331,8 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
                     grad = -solution.direction
                     healthy = bool(np.isfinite(grad).all())
         else:
-            scalars = [_prompt_scalar(cfg.method, batch, env.m) for batch in batches]
-            loss, grad = sql_loss_and_grad(params, prompts, scalars)
+            scalars = _prompt_scalars(cfg.method, batch, env.m)
+            loss, grad = sql_loss_and_grad(params, tokens, context, scalars)
             healthy = bool(np.isfinite(loss) and np.isfinite(grad).all())
 
         if not healthy:

@@ -241,10 +241,10 @@ def _soft_value(row, temperature):
     return temperature * (math.log(np.exp(z - zmax).sum()) + zmax)
 
 
-def _frozen_targets(cfg, flat, samples, rewards):
+def _frozen_targets(cfg, flat, context, tokens, rewards):
     out = []
-    for sample, reward in zip(samples, rewards):
-        rows = _oracle_logits(cfg, flat, sample.context, sample.tokens)
+    for sample_tokens, reward in zip(tokens, rewards):
+        rows = _oracle_logits(cfg, flat, context, sample_tokens)
         tgt = np.zeros(cfg.prompt_length)
         for t in range(cfg.prompt_length - 1):
             tgt[t] = _soft_value(rows[t + 1], cfg.temperature)
@@ -253,13 +253,13 @@ def _frozen_targets(cfg, flat, samples, rewards):
     return out
 
 
-def _loss_fixed_targets(cfg, flat, samples, targets):
+def _loss_fixed_targets(cfg, flat, context, tokens, targets):
     total = 0.0
     count = 0
-    for sample, tgt in zip(samples, targets):
-        rows = _oracle_logits(cfg, flat, sample.context, sample.tokens)
+    for sample_tokens, tgt in zip(tokens, targets):
+        rows = _oracle_logits(cfg, flat, context, sample_tokens)
         for t in range(cfg.prompt_length):
-            total += 0.5 * (rows[t][sample.tokens[t]] - tgt[t]) ** 2
+            total += 0.5 * (rows[t][sample_tokens[t]] - tgt[t]) ** 2
             count += 1
     return total / count
 
@@ -278,18 +278,19 @@ def test_3_gradient_fidelity(announce):
             temperature=float(rng.uniform(0.5, 2.0)),
         )
         params = init_policy(cfg, seed=trial)
-        samples = sample_prompts(params, rng.normal(size=2), k=3, seed=trial)
+        ctx = rng.normal(size=2)
+        tokens, _, _ = sample_prompts(params, ctx, k=3, seed=trial)
         rewards = rng.uniform(0.0, 1.0, size=3)
-        _, analytic = sql_loss_and_grad(params, samples, rewards)
-        targets = _frozen_targets(cfg, params.flat, samples, rewards)
+        _, analytic = sql_loss_and_grad(params, tokens, ctx, rewards)
+        targets = _frozen_targets(cfg, params.flat, ctx, tokens, rewards)
         numeric = np.zeros_like(analytic)
         for idx in range(params.flat.size):
             up = params.flat.copy()
             up[idx] += eps
             down = params.flat.copy()
             down[idx] -= eps
-            hi = _loss_fixed_targets(cfg, up, samples, targets)
-            lo = _loss_fixed_targets(cfg, down, samples, targets)
+            hi = _loss_fixed_targets(cfg, up, ctx, tokens, targets)
+            lo = _loss_fixed_targets(cfg, down, ctx, tokens, targets)
             numeric[idx] = (hi - lo) / (2.0 * eps)
         rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-6)
         worst = max(worst, float(rel.max()))
@@ -311,12 +312,12 @@ def test_4_bandit_and_single_objective_equivalence(announce):
     flat = init_policy(cfg, seed=0).flat
     for step in range(500):
         current = PolicyParams(cfg, flat)
-        samples = sample_prompts(current, ctx, k=16, seed=1000 + step)
-        rewards = np.array([1.0 if s.tokens[0] == 3 else 0.0 for s in samples])
-        _, grad = sql_loss_and_grad(current, samples, rewards)
+        tokens, _, _ = sample_prompts(current, ctx, k=16, seed=1000 + step)
+        rewards = np.array([1.0 if row[0] == 3 else 0.0 for row in tokens])
+        _, grad = sql_loss_and_grad(current, tokens, ctx, rewards)
         flat = flat - 0.1 * grad
-    probe = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)[0]
-    z = probe.token_logits[0] / cfg.temperature
+    _, probe_logits, _ = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)
+    z = probe_logits[0][0] / cfg.temperature
     probs = np.exp(z - z.max())
     probs /= probs.sum()
     bandit_ok = probs[3] > 0.9
@@ -332,11 +333,11 @@ def test_4_bandit_and_single_objective_equivalence(announce):
     for step in range(25):
         params_a = PolicyParams(cfg2, flat_a)
         params_b = PolicyParams(cfg2, flat_b)
-        samples_a = sample_prompts(params_a, np.ones(2), k=4, seed=step)
-        samples_b = sample_prompts(params_b, np.ones(2), k=4, seed=step)
-        rewards = np.array([s.tokens[0] / cfg2.vocab_size for s in samples_a])
-        _, grad_plain = sql_loss_and_grad(params_a, samples_a, rewards)
-        _, grads = per_objective_loss_grads(params_b, samples_b, rewards[:, None])
+        tokens_a, _, _ = sample_prompts(params_a, np.ones(2), k=4, seed=step)
+        tokens_b, _, _ = sample_prompts(params_b, np.ones(2), k=4, seed=step)
+        rewards = np.array([row[0] / cfg2.vocab_size for row in tokens_a])
+        _, grad_plain = sql_loss_and_grad(params_a, tokens_a, np.ones(2), rewards)
+        _, grads = per_objective_loss_grads(params_b, tokens_b, np.ones(2), rewards[:, None])
         solution = min_norm_point(grads)
         flat_a = adam_a.update(flat_a, grad_plain)
         flat_b = adam_b.update(flat_b, -solution.direction)

@@ -84,6 +84,21 @@ def test_bad_seed_flag_exits_one(tmp_path):
     assert main(["train", "--config", cfg, "--seed", "1,two"]) == 1
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"run": {"seeds": 3}},
+        {"run": {"seeds": ["a"]}},
+        {"env": {"name": "tug-of-war", "m": "three"}},
+    ],
+    ids=["seeds-not-a-list", "seed-not-an-int", "m-not-an-int"],
+)
+def test_malformed_config_values_exit_one(tmp_path, capsys, section):
+    cfg = write_config(tmp_path / "cfg.yaml", **section)
+    assert main(["train", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_invalid_env_name_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit):
         main(["train", "--env", "maze", "--steps", "1"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moprompt.envs import EnvSpec, builtin_env, rollout
+from moprompt.envs import ENV_NAMES, OUTLIER_LATENT, EnvSpec, builtin_env, rollout
 from moprompt.seeding import ROLE_NOISE, derive_seed
 
 
@@ -86,6 +86,33 @@ def test_rollout_is_reproducible_per_seed():
     assert np.array_equal(a, b)
     c = rollout(env, [0, 1, 2, 3, 4], 0, k_hat=128, seed=43)
     assert not np.array_equal(a[0], c[0])
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 8])
+def test_batched_rollout_rows_equal_single_prompt_calls(name, m, k):
+    env = builtin_env(name, m=m, seed=m, outlier_prob=0.3)
+    tokens = np.random.default_rng(10 * m + k).integers(0, env.vocab_size, size=(k, 5))
+    seeds = [derive_seed(m, k, j) for j in range(k)]
+    batch = rollout(env, tokens, 1, 64, seeds)
+    assert batch.shape == (k, 64, m)
+    assert batch.dtype == np.float64
+    for row, seed, rewards in zip(tokens, seeds, batch):
+        assert np.array_equal(rewards, rollout(env, row, 1, 64, seed))
+    if name == "outlier-prone":
+        assert np.all(batch == OUTLIER_LATENT, axis=-1).any()
+
+
+def test_batched_rollout_rejects_bad_batches():
+    env = tug()
+    tokens = np.zeros((3, 5), dtype=np.int64)
+    with pytest.raises(ValueError):
+        rollout(env, tokens, 0, 8, [0, 1])
+    with pytest.raises(ValueError):
+        rollout(env, np.zeros((3, 4), dtype=np.int64), 0, 8, [0, 1, 2])
+    with pytest.raises(ValueError):
+        rollout(env, np.zeros((0, 5), dtype=np.int64), 0, 8, [])
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,11 @@ def oracle_soft_value(row, temperature):
     return temperature * (math.log(np.exp(z - zmax).sum()) + zmax)
 
 
-def oracle_targets(cfg, flat, samples, rewards):
+def oracle_targets(cfg, flat, context, tokens, rewards):
     """Targets at the base parameters, to be held fixed under perturbation."""
     out = []
-    for sample, reward in zip(samples, rewards):
-        rows = oracle_logits(cfg, flat, sample.context, sample.tokens)
+    for sample_tokens, reward in zip(tokens, rewards):
+        rows = oracle_logits(cfg, flat, context, sample_tokens)
         tgt = np.zeros(cfg.prompt_length)
         for t in range(cfg.prompt_length - 1):
             tgt[t] = oracle_soft_value(rows[t + 1], cfg.temperature)
@@ -92,13 +92,13 @@ def oracle_targets(cfg, flat, samples, rewards):
     return out
 
 
-def oracle_loss_fixed_targets(cfg, flat, samples, targets):
+def oracle_loss_fixed_targets(cfg, flat, context, tokens, targets):
     total = 0.0
     count = 0
-    for sample, tgt in zip(samples, targets):
-        rows = oracle_logits(cfg, flat, sample.context, sample.tokens)
+    for sample_tokens, tgt in zip(tokens, targets):
+        rows = oracle_logits(cfg, flat, context, sample_tokens)
         for t in range(cfg.prompt_length):
-            total += 0.5 * (rows[t][sample.tokens[t]] - tgt[t]) ** 2
+            total += 0.5 * (rows[t][sample_tokens[t]] - tgt[t]) ** 2
             count += 1
     return total / count
 
@@ -159,12 +159,55 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_sampling_is_deterministic_per_seed():
     params = init_policy(small_cfg(), seed=0)
     ctx = np.array([0.3, -0.2])
-    a = sample_prompts(params, ctx, k=4, seed=11)
-    b = sample_prompts(params, ctx, k=4, seed=11)
-    assert all(np.array_equal(x.tokens, y.tokens) for x, y in zip(a, b))
-    assert all(x.log_prob == y.log_prob for x, y in zip(a, b))
-    c = sample_prompts(params, ctx, k=4, seed=12)
-    assert any(not np.array_equal(x.tokens, y.tokens) for x, y in zip(a, c))
+    a_tokens, _, a_log_probs = sample_prompts(params, ctx, k=4, seed=11)
+    b_tokens, _, b_log_probs = sample_prompts(params, ctx, k=4, seed=11)
+    assert all(np.array_equal(x, y) for x, y in zip(a_tokens, b_tokens))
+    assert all(x == y for x, y in zip(a_log_probs, b_log_probs))
+    c_tokens, _, _ = sample_prompts(params, ctx, k=4, seed=12)
+    assert any(not np.array_equal(x, y) for x, y in zip(a_tokens, c_tokens))
+
+
+def per_position_sampler(params, context, k, seed):
+    """The sampler as one rng.random(k) draw per position, kept as a reference."""
+    cfg = params.cfg
+    w_in, w_h, b_h, w_out, b_out = oracle_unpack(cfg, params.flat)
+    rng = np.random.default_rng(seed)
+    tokens = np.zeros((k, cfg.prompt_length), dtype=np.int64)
+    all_logits = np.zeros((k, cfg.prompt_length, cfg.vocab_size))
+    log_probs = np.zeros(k)
+    x = np.zeros((k, cfg.input_dim))
+    x[:, : cfg.context_dim] = context
+    for t in range(cfg.prompt_length):
+        x[:, cfg.context_dim :] = 0.0
+        x[:, cfg.context_dim + t] = 1.0
+        if t > 0:
+            x[np.arange(k), cfg.context_dim + cfg.prompt_length + tokens[:, t - 1]] = 1.0
+        logits = np.tanh(np.tanh(x @ w_in.T) @ w_h.T + b_h) @ w_out.T + b_out
+        z = logits / cfg.temperature
+        z = z - z.max(axis=-1, keepdims=True)
+        log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        cum = np.exp(log_p).cumsum(axis=1)
+        draw = rng.random(k)
+        chosen = np.minimum((draw[:, None] >= cum).sum(axis=1), cfg.vocab_size - 1)
+        tokens[:, t] = chosen
+        all_logits[:, t, :] = logits
+        log_probs += log_p[np.arange(k), chosen]
+    return tokens, all_logits, log_probs
+
+
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_sampling_matches_per_position_draws_bitwise(k, seed):
+    cfg = small_cfg(vocab_size=5, prompt_length=4, temperature=0.5)
+    params = init_policy(cfg, seed=seed)
+    ctx = np.random.default_rng(seed).normal(size=2)
+    got = sample_prompts(params, ctx, k=k, seed=seed + 20)
+    want = per_position_sampler(params, ctx, k, seed + 20)
+    assert got[0].shape == (k, 4) and got[0].dtype == np.int64
+    assert got[1].shape == (k, 4, 5)
+    assert got[2].shape == (k,)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_sampling_rejects_bad_arguments():
@@ -177,8 +220,7 @@ def test_sampling_rejects_bad_arguments():
 
 def test_zero_weights_sample_uniformly():
     cfg = PolicyConfig(vocab_size=4, prompt_length=2, hidden_dim=4, context_dim=2)
-    samples = sample_prompts(zero_params(cfg), np.zeros(2), k=100_000, seed=5)
-    tokens = np.stack([s.tokens for s in samples])
+    tokens, _, _ = sample_prompts(zero_params(cfg), np.zeros(2), k=100_000, seed=5)
     # 3 sigma for a fair four-way split over 1e5 draws.
     bound = 3.0 * math.sqrt(0.25 * 0.75 / 100_000)
     for t in range(cfg.prompt_length):
@@ -190,8 +232,7 @@ def test_head_bias_dominates_sampling():
     cfg = PolicyConfig(vocab_size=4, prompt_length=2, hidden_dim=4, context_dim=2)
     flat = np.zeros(param_count(cfg))
     flat[-4] = 10.0  # output bias of token 0
-    samples = sample_prompts(PolicyParams(cfg, flat), np.zeros(2), k=5000, seed=6)
-    tokens = np.stack([s.tokens for s in samples])
+    tokens, _, _ = sample_prompts(PolicyParams(cfg, flat), np.zeros(2), k=5000, seed=6)
     assert (tokens == 0).mean() > 0.99
 
 
@@ -201,15 +242,16 @@ def test_log_prob_matches_recomputation(seed):
     cfg = small_cfg(vocab_size=5, prompt_length=3)
     params = init_policy(cfg, seed=seed % 1000)
     ctx = np.random.default_rng(seed).normal(size=2)
-    for sample in sample_prompts(params, ctx, k=3, seed=seed):
+    tokens, logits, log_probs = sample_prompts(params, ctx, k=3, seed=seed)
+    for sample_tokens, sample_logits, log_prob in zip(tokens, logits, log_probs):
         total = 0.0
         for t in range(cfg.prompt_length):
-            z = sample.token_logits[t] / cfg.temperature
+            z = sample_logits[t] / cfg.temperature
             probs = np.exp(z - z.max())
             probs /= probs.sum()
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-            total += math.log(probs[sample.tokens[t]])
-        assert total == pytest.approx(sample.log_prob, abs=1e-12)
+            total += math.log(probs[sample_tokens[t]])
+        assert total == pytest.approx(log_prob, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +264,8 @@ def test_zero_policy_zero_reward_closed_form():
     # which tokens were sampled.
     cfg = PolicyConfig(vocab_size=2, prompt_length=2, hidden_dim=3, context_dim=2)
     params = zero_params(cfg)
-    samples = sample_prompts(params, np.zeros(2), k=4, seed=0)
-    loss, grad = sql_loss_and_grad(params, samples, np.zeros(4))
+    tokens, _, _ = sample_prompts(params, np.zeros(2), k=4, seed=0)
+    loss, grad = sql_loss_and_grad(params, tokens, np.zeros(2), np.zeros(4))
     assert loss == pytest.approx(math.log(2.0) ** 2 / 4.0, abs=1e-12)
     assert grad.shape == (param_count(cfg),)
 
@@ -231,25 +273,26 @@ def test_zero_policy_zero_reward_closed_form():
 def test_loss_is_nonnegative_and_matches_oracle():
     cfg = small_cfg()
     params = init_policy(cfg, seed=2)
-    samples = sample_prompts(params, np.array([0.1, 0.4]), k=5, seed=3)
+    ctx = np.array([0.1, 0.4])
+    tokens, _, _ = sample_prompts(params, ctx, k=5, seed=3)
     rewards = np.linspace(0.0, 1.0, 5)
-    loss, _ = sql_loss_and_grad(params, samples, rewards)
-    targets = oracle_targets(cfg, params.flat, samples, rewards)
+    loss, _ = sql_loss_and_grad(params, tokens, ctx, rewards)
+    targets = oracle_targets(cfg, params.flat, ctx, tokens, rewards)
     assert loss >= 0.0
     assert loss == pytest.approx(
-        oracle_loss_fixed_targets(cfg, params.flat, samples, targets), abs=1e-12
+        oracle_loss_fixed_targets(cfg, params.flat, ctx, tokens, targets), abs=1e-12
     )
 
 
 def test_loss_rejects_misaligned_rewards():
     params = init_policy(small_cfg(), seed=0)
-    samples = sample_prompts(params, np.zeros(2), k=3, seed=0)
+    tokens, _, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
     with pytest.raises(ValueError):
-        sql_loss_and_grad(params, samples, [0.5, 0.5])
+        sql_loss_and_grad(params, tokens, np.zeros(2), [0.5, 0.5])
     with pytest.raises(ValueError):
-        sql_loss_and_grad(params, samples, [0.5, np.nan, 0.5])
+        sql_loss_and_grad(params, tokens, np.zeros(2), [0.5, np.nan, 0.5])
     with pytest.raises(ValueError):
-        sql_loss_and_grad(params, [], [])
+        sql_loss_and_grad(params, np.zeros((0, 2), dtype=np.int64), np.zeros(2), [])
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +315,11 @@ def test_gradient_matches_finite_differences(trial):
     )
     params = init_policy(cfg, seed=trial)
     ctx = rng.normal(size=2)
-    samples = sample_prompts(params, ctx, k=3, seed=trial + 50)
+    tokens, _, _ = sample_prompts(params, ctx, k=3, seed=trial + 50)
     rewards = rng.uniform(0.0, 1.0, size=3)
 
-    _, analytic = sql_loss_and_grad(params, samples, rewards)
-    targets = oracle_targets(cfg, params.flat, samples, rewards)
+    _, analytic = sql_loss_and_grad(params, tokens, ctx, rewards)
+    targets = oracle_targets(cfg, params.flat, ctx, tokens, rewards)
 
     eps = 1e-4
     numeric = np.zeros_like(analytic)
@@ -285,8 +328,8 @@ def test_gradient_matches_finite_differences(trial):
         up[idx] += eps
         down = params.flat.copy()
         down[idx] -= eps
-        hi = oracle_loss_fixed_targets(cfg, up, samples, targets)
-        lo = oracle_loss_fixed_targets(cfg, down, samples, targets)
+        hi = oracle_loss_fixed_targets(cfg, up, ctx, tokens, targets)
+        lo = oracle_loss_fixed_targets(cfg, down, ctx, tokens, targets)
         numeric[idx] = (hi - lo) / (2.0 * eps)
     assert relative_errors(analytic, numeric).max() < 1e-4
 
@@ -298,42 +341,43 @@ def test_gradient_matches_finite_differences(trial):
 def test_per_objective_matches_single_objective_bitwise():
     cfg = small_cfg(vocab_size=4, prompt_length=3)
     params = init_policy(cfg, seed=7)
-    samples = sample_prompts(params, np.array([0.2, -0.3]), k=6, seed=8)
+    ctx = np.array([0.2, -0.3])
+    tokens, _, _ = sample_prompts(params, ctx, k=6, seed=8)
     rv = np.random.default_rng(9).uniform(0.0, 1.0, size=(6, 3))
-    losses, grads = per_objective_loss_grads(params, samples, rv)
+    losses, grads = per_objective_loss_grads(params, tokens, ctx, rv)
     for i in range(3):
-        loss_i, grad_i = sql_loss_and_grad(params, samples, rv[:, i])
+        loss_i, grad_i = sql_loss_and_grad(params, tokens, ctx, rv[:, i])
         assert losses[i] == loss_i
         assert np.array_equal(grads[i], grad_i)
 
 
 def test_identical_objectives_give_identical_gradients():
     params = init_policy(small_cfg(), seed=1)
-    samples = sample_prompts(params, np.zeros(2), k=4, seed=2)
+    tokens, _, _ = sample_prompts(params, np.zeros(2), k=4, seed=2)
     col = np.random.default_rng(3).uniform(0.0, 1.0, size=4)
     rv = np.stack([col, col, col], axis=1)
-    _, grads = per_objective_loss_grads(params, samples, rv)
+    _, grads = per_objective_loss_grads(params, tokens, np.zeros(2), rv)
     assert np.array_equal(grads[0], grads[1])
     assert np.array_equal(grads[0], grads[2])
 
 
 def test_per_objective_single_column_equals_sql_loss():
     params = init_policy(small_cfg(), seed=4)
-    samples = sample_prompts(params, np.zeros(2), k=3, seed=5)
+    tokens, _, _ = sample_prompts(params, np.zeros(2), k=3, seed=5)
     col = np.array([0.1, 0.9, 0.4])
-    losses, grads = per_objective_loss_grads(params, samples, col[:, None])
-    loss, grad = sql_loss_and_grad(params, samples, col)
+    losses, grads = per_objective_loss_grads(params, tokens, np.zeros(2), col[:, None])
+    loss, grad = sql_loss_and_grad(params, tokens, np.zeros(2), col)
     assert losses[0] == loss
     assert np.array_equal(grads[0], grad)
 
 
 def test_per_objective_rejects_bad_shapes():
     params = init_policy(small_cfg(), seed=0)
-    samples = sample_prompts(params, np.zeros(2), k=3, seed=0)
+    tokens, _, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
     with pytest.raises(ValueError):
-        per_objective_loss_grads(params, samples, np.zeros((2, 2)))
+        per_objective_loss_grads(params, tokens, np.zeros(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        per_objective_loss_grads(params, samples, np.zeros((3, 0)))
+        per_objective_loss_grads(params, tokens, np.zeros(2), np.zeros((3, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +393,12 @@ def test_bandit_smoke_convergence():
     flat = params.flat
     for step in range(500):
         current = PolicyParams(cfg, flat)
-        samples = sample_prompts(current, ctx, k=16, seed=1000 + step)
-        rewards = np.array([1.0 if s.tokens[0] == 3 else 0.0 for s in samples])
-        _, grad = sql_loss_and_grad(current, samples, rewards)
+        tokens, _, _ = sample_prompts(current, ctx, k=16, seed=1000 + step)
+        rewards = np.array([1.0 if row[0] == 3 else 0.0 for row in tokens])
+        _, grad = sql_loss_and_grad(current, tokens, ctx, rewards)
         flat = flat - 0.1 * grad
-    probe = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)[0]
-    z = probe.token_logits[0] / cfg.temperature
+    _, probe_logits, _ = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)
+    z = probe_logits[0][0] / cfg.temperature
     probs = np.exp(z - z.max())
     probs /= probs.sum()
     assert probs[3] > 0.9

@@ -124,6 +124,29 @@ def test_aggregators_are_permutation_invariant(seed, n, m):
     )
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_stacked_batches_equal_per_batch_calls(seed, k, n, m):
+    stack = np.random.default_rng(seed).uniform(0.0, 1.0, size=(k, n, m))
+    ref = np.zeros(m)
+    for fn in (aggregate_average, aggregate_product, lambda b: aggregate_hvi(b, ref)):
+        out = fn(stack)
+        assert out.shape == (k,)
+        assert out.dtype == np.float64
+        assert out.tolist() == [fn(batch) for batch in stack]
+
+
+def test_stacked_batch_errors():
+    with pytest.raises(ValueError):
+        aggregate_average(np.zeros((2, 0, 3)))
+    with pytest.raises(ValueError):
+        aggregate_product(np.full((2, 3, 2), -0.5))
+    with pytest.raises(ValueError):
+        aggregate_hvi(np.full((2, 3, 2), np.nan), ref=[0.0, 0.0])
+    with pytest.raises(ValueError):
+        evaluation_metrics(np.zeros((2, 3, 2)), ref=[0.0, 0.0])
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 32), st.integers(1, 4))
 @settings(max_examples=50, deadline=None)
 def test_product_below_mean_of_means_on_unit_interval(seed, n, m):

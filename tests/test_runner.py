@@ -233,7 +233,7 @@ def test_volume_methods_never_call_min_norm(monkeypatch):
         result = train(cfg)
         assert not result.aborts
         assert calls["min_norm"] == 0
-        assert calls["aggregate"] == 6 * cfg.k
+        assert calls["aggregate"] == 6
         assert all(r.mgda_norm_sq is None for r in result.records)
 
 
@@ -249,6 +249,25 @@ def test_mgda_never_calls_aggregators(monkeypatch):
         assert r.mgda_norm_sq is not None
         assert np.isfinite(r.mgda_norm_sq)
         assert r.mgda_norm_sq >= 0.0
+
+
+@pytest.mark.parametrize("method", ["product", "mgda"])
+def test_one_rollout_call_per_step_and_eval_input(monkeypatch, method):
+    shapes = []
+    original = runner.rollout
+
+    def wrapper(env, tokens, input_index, k_hat, seed):
+        out = original(env, tokens, input_index, k_hat, seed)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(runner, "rollout", wrapper)
+    cfg = tiny_config(method=method, steps=6, eval_every=3)
+    assert not train(cfg).aborts
+    n_evals = 6 // 3 + 1
+    n_inputs = cfg.env.inputs.shape[0]
+    assert len(shapes) == 6 + n_evals * n_inputs
+    assert shapes.count((cfg.k, cfg.k_hat, cfg.env.m)) == 6
 
 
 def test_training_improves_expected_product_on_tug_of_war():
