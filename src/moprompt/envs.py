@@ -37,6 +37,7 @@ from .seeding import (
     ROLE_NOISE,
     ROLE_OUTLIER,
     derive_seed,
+    derive_seeds,
     unit_floats,
 )
 
@@ -122,18 +123,19 @@ def _vote_fractions(env: EnvSpec, tokens: np.ndarray) -> np.ndarray:
     return votes / env.prompt_length
 
 
-def _arm_mean(env: EnvSpec, tokens: np.ndarray) -> np.ndarray:
-    """Hash one token sequence to its fixed mean vector.
+def _arm_means(env: EnvSpec, rows: np.ndarray) -> np.ndarray:
+    """Hash each token sequence to its fixed mean vector, one (k, m) row each.
 
     Exponential draws normalized to the simplex give negatively correlated
     components; a per-arm amplitude keeps means spread through [0, 1]^m.
     """
-    key = derive_seed(env.seed, ROLE_ARMS, *tokens.tolist())
-    u = unit_floats(key, env.m + 1)
-    exps = [-math.log(1.0 - x) for x in u[: env.m]]
-    total = sum(exps)
-    amplitude = 0.4 + 0.6 * u[env.m]
-    return amplitude * np.array(exps) / total
+    means = np.empty((rows.shape[0], env.m))
+    for j, key in enumerate(derive_seeds((env.seed, ROLE_ARMS), rows.tolist())):
+        u = unit_floats(key, env.m + 1)
+        # math.log, not np.log: the two differ in the last bit on some inputs.
+        exps = [-math.log(1.0 - x) for x in u[: env.m]]
+        means[j] = (0.4 + 0.6 * u[env.m]) * np.array(exps) / sum(exps)
+    return means
 
 
 def rollout(env: EnvSpec, tokens, input_index: int, k_hat: int, seed) -> np.ndarray:
@@ -152,6 +154,10 @@ def rollout(env: EnvSpec, tokens, input_index: int, k_hat: int, seed) -> np.ndar
     rows = np.asarray(tokens, dtype=np.int64)
     single = rows.ndim == 1
     rows = rows.reshape(1, -1) if single else rows
+    if isinstance(seed, (int, np.integer)) != single:
+        raise ValueError(
+            "a (T,) prompt takes one int seed" if single else "a (k, T) batch takes one seed per row"
+        )
     seeds = [seed] if single else list(seed)
     if not 0 <= input_index < env.inputs.shape[0]:
         raise ValueError(f"input_index {input_index} out of range for {env.inputs.shape[0]} inputs")
@@ -165,7 +171,7 @@ def rollout(env: EnvSpec, tokens, input_index: int, k_hat: int, seed) -> np.ndar
         raise ValueError("token id out of range")
 
     if env.name == "gaussian-arms":
-        base = np.stack([_arm_mean(env, row) for row in rows])
+        base = _arm_means(env, rows)
     else:
         base = _vote_fractions(env, rows)
     # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.

@@ -13,7 +13,9 @@ regressed onto a stop-gradient target, which is the soft state value
 V = temperature * logsumexp(logits / temperature) of the next position at
 interior steps and the (scaled) terminal reward at the last step. Gradients
 are computed analytically by backpropagation and validated against finite
-differences in the test suite.
+differences in the test suite. The m per-objective gradients that MGDA
+needs share one forward pass and one backward pass over the stacked
+(m, k*T, V) logit gradients.
 """
 
 from __future__ import annotations
@@ -213,33 +215,40 @@ def _check_batch(cfg: PolicyConfig, tokens, context, n_rewards: int):
 
 
 def _loss_targets(cfg: PolicyConfig, logits: np.ndarray, rewards: np.ndarray, n: int):
-    """Per-position regression targets, treated as constants.
+    """Per-position regression targets, treated as constants: (m, n, T), one
+    (n, T) block per column of the (n, m) rewards.
 
-    Interior positions target the next position's soft value; the final
-    position targets the scaled terminal reward.
+    Interior positions target the next position's soft value, shared by all
+    m columns; the final position targets the scaled terminal reward.
     """
     t_len = cfg.prompt_length
     z = logits / cfg.temperature
     z_max = z.max(axis=1)
     values = cfg.temperature * (np.log(np.exp(z - z_max[:, None]).sum(axis=1)) + z_max)
     values = values.reshape(n, t_len)
-    targets = np.empty((n, t_len))
-    targets[:, :-1] = values[:, 1:]
-    targets[:, -1] = cfg.reward_scale * rewards
+    targets = np.empty((rewards.shape[1], n, t_len))
+    targets[:, :, :-1] = values[:, 1:]
+    targets[:, :, -1] = cfg.reward_scale * rewards.T
     return targets
 
 
 def _backward(cfg: PolicyConfig, flat: np.ndarray, rows, h0, h1, d_logits) -> np.ndarray:
+    """Backpropagate an (m, n, V) stack of logit gradients to (m, n_params).
+
+    Each stacked matmul runs the same 2-D product per slice, so row i is
+    bit-identical to backpropagating d_logits[i] alone.
+    """
     w_in, w_h, _, w_out, _ = _views(cfg, flat)
-    d_w_out = d_logits.T @ h1
-    d_b_out = d_logits.sum(axis=0)
+    d_w_out = d_logits.transpose(0, 2, 1) @ h1
+    d_b_out = d_logits.sum(axis=1)
     d_h1 = (d_logits @ w_out) * (1.0 - h1 * h1)
-    d_w_h = d_h1.T @ h0
-    d_b_h = d_h1.sum(axis=0)
+    d_w_h = d_h1.transpose(0, 2, 1) @ h0
+    d_b_h = d_h1.sum(axis=1)
     d_h0 = (d_h1 @ w_h) * (1.0 - h0 * h0)
-    d_w_in = d_h0.T @ rows
+    d_w_in = d_h0.transpose(0, 2, 1) @ rows
+    m = d_logits.shape[0]
     return np.concatenate(
-        [d_w_in.ravel(), d_w_h.ravel(), d_b_h.ravel(), d_w_out.ravel(), d_b_out.ravel()]
+        [g.reshape(m, -1) for g in (d_w_in, d_w_h, d_b_h, d_w_out, d_b_out)], axis=1
     )
 
 
@@ -263,7 +272,9 @@ def sql_loss_and_grad(params: PolicyParams, tokens, context, rewards):
 
 
 def per_objective_loss_grads(params: PolicyParams, tokens, context, reward_vectors):
-    """One soft-Q loss gradient per objective, sharing a single forward pass.
+    """One soft-Q loss gradient per objective, sharing one forward and one
+    backward pass: the soft values are computed once and the m logit
+    gradients are backpropagated as one stack.
 
     Args:
         tokens, context: as for sql_loss_and_grad.
@@ -284,29 +295,29 @@ def per_objective_loss_grads(params: PolicyParams, tokens, context, reward_vecto
     if not np.isfinite(rv).all():
         raise ValueError("rewards must be finite")
     n, t_len = tokens.shape
+    m, nt = rv.shape[1], n * t_len
     rows, h0, h1, logits = _forward(cfg, params.flat, ctx, tokens)
-    flat_tokens = tokens.reshape(n * t_len)
-    chosen_q = logits[np.arange(n * t_len), flat_tokens]
+    flat_tokens = tokens.reshape(nt)
+    chosen_q = logits[np.arange(nt), flat_tokens]
 
-    m = rv.shape[1]
-    losses = np.zeros(m)
-    grads = np.zeros((m, params.flat.shape[0]))
-    for i in range(m):
-        targets = _loss_targets(cfg, logits, rv[:, i], n)
-        residual = chosen_q - targets.reshape(n * t_len)
-        losses[i] = 0.5 * float(residual @ residual) / (n * t_len)
-        d_logits = np.zeros_like(logits)
-        d_logits[np.arange(n * t_len), flat_tokens] = residual / (n * t_len)
-        grads[i] = _backward(cfg, params.flat, rows, h0, h1, d_logits)
-    return losses, grads
+    residual = chosen_q - _loss_targets(cfg, logits, rv, n).reshape(m, nt)
+    losses = np.array([0.5 * float(r @ r) / nt for r in residual])
+    d_logits = np.zeros((m, nt, cfg.vocab_size))
+    d_logits[:, np.arange(nt), flat_tokens] = residual / nt
+    return losses, _backward(cfg, params.flat, rows, h0, h1, d_logits)
 
 
 def save_checkpoint(path, params: PolicyParams) -> None:
-    """Write a self-describing text checkpoint (config plus flat weights)."""
-    payload = {"config": asdict(params.cfg), "flat": params.flat.tolist()}
+    """Write a self-describing text checkpoint (config plus flat weights).
+
+    The bytes are those of json.dump(payload, fh, indent=1) plus a newline,
+    written in one pass: json's indented encoder is pure Python, while a
+    finite float's repr is exactly the token json writes for it.
+    """
+    head = json.dumps({"config": asdict(params.cfg)}, indent=1)[: -len("\n}")]
+    flat = repr(params.flat.tolist())[1:-1].replace(", ", ",\n  ")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{head},\n "flat": [\n  {flat}\n ]\n}}\n')
 
 
 def load_checkpoint(path) -> PolicyParams:

@@ -53,6 +53,7 @@ from .seeding import (
     ROLE_PROMPTS,
     ROLE_ROLLOUT,
     derive_seed,
+    derive_seeds,
 )
 
 __all__ = [
@@ -114,6 +115,10 @@ class TrainConfig:
             raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            # A repeated seed would train twice, duplicate its metrics rows
+            # and overwrite its own checkpoint.
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         for name in ("k", "k_hat", "steps", "eval_every", "eval_total_samples", "hidden_dim"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -314,7 +319,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
         input_index = (step - 1) % n_inputs
         context = env.inputs[input_index]
         tokens, _, _ = sample_prompts(params, context, cfg.k, derive_seed(seed, ROLE_PROMPTS, step))
-        rollout_seeds = [derive_seed(seed, ROLE_ROLLOUT, step, j) for j in range(cfg.k)]
+        rollout_seeds = derive_seeds((seed, ROLE_ROLLOUT, step), [(j,) for j in range(cfg.k)])
         batch = rollout(env, tokens, input_index, cfg.k_hat, rollout_seeds)
 
         if cfg.method == "mgda":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_START = 0x5DEECE66D
 
 # Stream roles. Every RNG consumer derives its seed from (seed, step, role)
 # so adding or reordering consumers never shifts another stream.
@@ -25,12 +26,21 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def derive_seed(*parts: int) -> int:
-    """Collapse integer components into one 63-bit stream seed."""
-    h = 0x5DEECE66D
+def _absorb(h: int, parts) -> int:
     for p in parts:
         h = mix64(h ^ mix64(int(p) & _MASK))
-    return h >> 1
+    return h
+
+
+def derive_seed(*parts: int) -> int:
+    """Collapse integer components into one 63-bit stream seed."""
+    return _absorb(_START, parts) >> 1
+
+
+def derive_seeds(prefix, suffixes) -> list[int]:
+    """[derive_seed(*prefix, *s) for s in suffixes], hashing the prefix once."""
+    h = _absorb(_START, prefix)
+    return [_absorb(h, s) >> 1 for s in suffixes]
 
 
 def unit_floats(key: int, n: int) -> list[float]:

@@ -84,6 +84,14 @@ def test_bad_seed_flag_exits_one(tmp_path):
     assert main(["train", "--config", cfg, "--seed", "1,two"]) == 1
 
 
+def test_duplicate_seed_flag_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "0,0", "--out-dir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moprompt.envs import ENV_NAMES, OUTLIER_LATENT, EnvSpec, builtin_env, rollout
-from moprompt.seeding import ROLE_NOISE, derive_seed
+from moprompt.seeding import ROLE_ARMS, ROLE_NOISE, derive_seed, unit_floats
 
 
 def tug(m=2, noise=0.0, prompt_length=5, seed=0, **kw):
@@ -113,6 +114,10 @@ def test_batched_rollout_rejects_bad_batches():
         rollout(env, np.zeros((3, 4), dtype=np.int64), 0, 8, [0, 1, 2])
     with pytest.raises(ValueError):
         rollout(env, np.zeros((0, 5), dtype=np.int64), 0, 8, [])
+    with pytest.raises(ValueError, match="one seed per row"):
+        rollout(env, tokens, 0, 8, 0)
+    with pytest.raises(ValueError, match="one int seed"):
+        rollout(env, tokens[0], 0, 8, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +249,24 @@ def test_arm_means_depend_on_tokens_and_seed():
         rollout(env, [0, 1, 2, 3, 4], 0, 1, 0)[0],
         rollout(other, [0, 1, 2, 3, 4], 0, 1, 0)[0],
     )
+
+
+def reference_arm_mean(env, tokens):
+    """One prompt's mean vector, hashed with the full-length derive_seed."""
+    u = unit_floats(derive_seed(env.seed, ROLE_ARMS, *tokens), env.m + 1)
+    exps = [-math.log(1.0 - x) for x in u[: env.m]]
+    return (0.4 + 0.6 * u[env.m]) * np.array(exps) / sum(exps)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, -3, 2**64 + 5])
+def test_batched_arm_means_equal_per_prompt_reference_bitwise(m, seed):
+    env = builtin_env("gaussian-arms", m=m, seed=seed, noise_scale=0.0)
+    tokens = np.random.default_rng(m).integers(0, env.vocab_size, size=(8, 5))
+    batch = rollout(env, tokens, 0, 2, list(range(8)))
+    for row, rewards in zip(tokens.tolist(), batch):
+        mean = np.clip(reference_arm_mean(env, row), 0.0, 1.0)
+        assert np.array_equal(rewards, np.tile(mean, (2, 1)))
 
 
 @pytest.mark.parametrize("m", [2, 3])

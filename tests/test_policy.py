@@ -8,13 +8,16 @@ the finite-difference oracle freezes targets at the base parameters.
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moprompt import policy as policy_module
 from moprompt.policy import (
     PolicyConfig,
     PolicyParams,
@@ -150,6 +153,32 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.cfg == cfg
     assert np.array_equal(loaded.flat, params.flat)
+
+
+def json_dump_checkpoint(path, params):
+    """The json.dump checkpoint writer, kept as the byte-level reference."""
+    payload = {"config": asdict(params.cfg), "flat": params.flat.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_checkpoint_bytes_equal_json_dump(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(vocab_size=5, hidden_dim=6, temperature=0.25)
+    n = param_count(cfg)
+    flat = rng.normal(size=n) * 10.0 ** rng.integers(-30, 31, size=n)
+    flat[rng.integers(0, n, size=3)] = -0.0
+    flat[0] = 0.0
+    params = PolicyParams(cfg, flat)
+    save_checkpoint(tmp_path / "fast.txt", params)
+    json_dump_checkpoint(tmp_path / "json.txt", params)
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "json.txt").read_bytes()
+    loaded = load_checkpoint(tmp_path / "fast.txt")
+    assert loaded.cfg == cfg
+    assert np.array_equal(loaded.flat, flat)
+    assert np.array_equal(np.signbit(loaded.flat), np.signbit(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +378,55 @@ def test_per_objective_matches_single_objective_bitwise():
         loss_i, grad_i = sql_loss_and_grad(params, tokens, ctx, rv[:, i])
         assert losses[i] == loss_i
         assert np.array_equal(grads[i], grad_i)
+
+
+def per_column_loss_grads(params, tokens, context, reward_vectors):
+    """Reference: one soft-value pass and one 2-D backward per reward column."""
+    cfg = params.cfg
+    w_in, w_h, _, w_out, _ = policy_module._views(cfg, params.flat)
+    rows, h0, h1, logits = policy_module._forward(cfg, params.flat, np.asarray(context, float), tokens)
+    n, t_len = tokens.shape
+    nt = n * t_len
+    flat_tokens = tokens.reshape(nt)
+    chosen_q = logits[np.arange(nt), flat_tokens]
+    losses, grads = [], []
+    for col in np.asarray(reward_vectors, float).T:
+        z = logits / cfg.temperature
+        z_max = z.max(axis=1)
+        values = cfg.temperature * (np.log(np.exp(z - z_max[:, None]).sum(axis=1)) + z_max)
+        values = values.reshape(n, t_len)
+        targets = np.empty((n, t_len))
+        targets[:, :-1] = values[:, 1:]
+        targets[:, -1] = cfg.reward_scale * col
+        residual = chosen_q - targets.reshape(nt)
+        losses.append(0.5 * float(residual @ residual) / nt)
+        d_logits = np.zeros_like(logits)
+        d_logits[np.arange(nt), flat_tokens] = residual / nt
+        d_h1 = (d_logits @ w_out) * (1.0 - h1 * h1)
+        d_h0 = (d_h1 @ w_h) * (1.0 - h0 * h0)
+        parts = (d_h0.T @ rows, d_h1.T @ h0, d_h1.sum(axis=0), d_logits.T @ h1, d_logits.sum(axis=0))
+        grads.append(np.concatenate([g.ravel() for g in parts]))
+    return np.array(losses), np.array(grads)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("trial", range(3))
+def test_stacked_backward_rows_equal_per_column_reference_bitwise(m, k, trial):
+    rng = np.random.default_rng(100 * m + 10 * k + trial)
+    cfg = PolicyConfig(vocab_size=8, prompt_length=5, temperature=float(rng.uniform(0.2, 2.0)))
+    params = init_policy(cfg, seed=trial)
+    ctx = rng.normal(size=cfg.context_dim)
+    tokens, _, _ = sample_prompts(params, ctx, k=k, seed=trial)
+    rv = rng.uniform(0.0, 1.0, size=(k, m))
+    losses, grads = per_objective_loss_grads(params, tokens, ctx, rv)
+    ref_losses, ref_grads = per_column_loss_grads(params, tokens, ctx, rv)
+    assert grads.shape == (m, param_count(cfg))
+    assert np.array_equal(losses, ref_losses)
+    assert np.array_equal(grads, ref_grads)
+    loss0, grad0 = sql_loss_and_grad(params, tokens, ctx, rv[:, 0])
+    assert loss0 == losses[0]
+    assert np.array_equal(grad0, grads[0])
 
 
 def test_identical_objectives_give_identical_gradients():

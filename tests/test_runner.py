@@ -181,6 +181,16 @@ def test_config_from_dict_fails_closed():
         config_from_dict([])
 
 
+def test_duplicate_seeds_fail_closed():
+    # A repeated seed would write its metrics rows twice and overwrite its
+    # own checkpoint.
+    with pytest.raises(ConfigError, match="distinct"):
+        config_from_dict({"run": {"seeds": [0, 0]}})
+    with pytest.raises(ConfigError, match="distinct"):
+        config_from_dict({"run": {"seeds": [3, 1, 3]}})
+    assert config_from_dict({"run": {"seeds": [3, 1]}}).seeds == (3, 1)
+
+
 # ---------------------------------------------------------------------------
 # training loop behavior
 
