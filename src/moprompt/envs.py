@@ -26,6 +26,7 @@ array in, the step's (k, k_hat, m) reward array out.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,17 @@ DEFAULT_OUTLIER_PROB = 0.02
 OUTLIER_LATENT = 0.95
 
 
+def is_integer(value) -> bool:
+    """True for Python and numpy integers, false for bools and floats."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_integers(**values) -> None:
+    for name, value in values.items():
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """A fully determined environment: reward map plus fixed policy inputs."""
@@ -66,6 +78,9 @@ class EnvSpec:
     def __post_init__(self):
         if self.name not in ENV_NAMES:
             raise ValueError(f"unknown environment {self.name!r}, expected one of {ENV_NAMES}")
+        _check_integers(
+            m=self.m, vocab_size=self.vocab_size, prompt_length=self.prompt_length, seed=self.seed
+        )
         if self.m < 2:
             raise ValueError("environments are multi-objective: m must be >= 2")
         if self.vocab_size < self.m:
@@ -103,6 +118,7 @@ def builtin_env(
     """
     if name not in ENV_NAMES:
         raise ValueError(f"unknown environment {name!r}, expected one of {ENV_NAMES}")
+    _check_integers(n_inputs=n_inputs, context_dim=context_dim)
     raw = unit_floats(derive_seed(seed, ROLE_INPUTS), n_inputs * context_dim)
     inputs = 2.0 * np.array(raw).reshape(n_inputs, context_dim) - 1.0
     return EnvSpec(

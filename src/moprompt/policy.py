@@ -4,9 +4,14 @@ The policy scores tokens position by position with a two-layer tanh MLP on
 top of a fixed per-input context embedding: the input at position t is the
 concatenation of the context vector, a one-hot position indicator, and the
 one-hot of the previously chosen token (zeros at t = 0). Sampling draws
-tokens autoregressively from softmax(logits / temperature). A step's k
-prompts for one input are one (k, T) token array from sampling to loss;
-the losses take that array and the one context vector it was drawn for.
+tokens autoregressively from softmax(logits / temperature).
+
+For one context the input is fixed by (t, previous token), so the policy
+is evaluated once per (parameters, context), as a PolicyTable over every
+such input. Sampling is T row lookups into the table, and the losses
+gather the sampled rows' activations and soft values from the same table:
+a step's k prompts are one (k, T) token array plus that table from
+sampling to loss, with no second forward pass.
 
 Training minimizes the on-policy soft-Q loss: each chosen token's logit is
 regressed onto a stop-gradient target, which is the soft state value
@@ -14,8 +19,18 @@ V = temperature * logsumexp(logits / temperature) of the next position at
 interior steps and the (scaled) terminal reward at the last step. Gradients
 are computed analytically by backpropagation and validated against finite
 differences in the test suite. The m per-objective gradients that MGDA
-needs share one forward pass and one backward pass over the stacked
-(m, k*T, V) logit gradients.
+needs share the table and one backward pass over the stacked (m, k*T, V)
+logit gradients.
+
+Cost model: the table evaluates T*V rows and holds T*V**2 logits, where
+evaluating only the sampled positions, once to sample and once for the
+loss, takes 2*k*T rows of V logits. At k = 8, T = 5 and h = 32 (timeit,
+best of 7, 2-vCPU VM) sampling plus the soft-Q loss took 165-218 us
+against the per-sample passes' 285-294 us at V = 8, about the same at
+V = 32 (277-336 against 316-354 us), and 2.2 to 2.7 times as long at
+V = 48 and V = 64: the table stops paying between V = 32 and V = 48.
+builtin_env defaults to V = 8, and no profile, benchmark workload or test
+uses more.
 """
 
 from __future__ import annotations
@@ -24,10 +39,12 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 __all__ = [
     "PolicyConfig",
     "PolicyParams",
+    "PolicyTable",
     "init_policy",
     "sample_prompts",
     "sql_loss_and_grad",
@@ -99,12 +116,13 @@ def param_count(cfg: PolicyConfig) -> int:
 def _views(cfg: PolicyConfig, flat: np.ndarray):
     """Slice the flat vector into weight matrices without copying."""
     h, v, d = cfg.hidden_dim, cfg.vocab_size, cfg.input_dim
-    bounds = np.cumsum([h * d, h * h, h, v * h, v])
-    w_in = flat[: bounds[0]].reshape(h, d)
-    w_h = flat[bounds[0] : bounds[1]].reshape(h, h)
-    b_h = flat[bounds[1] : bounds[2]]
-    w_out = flat[bounds[2] : bounds[3]].reshape(v, h)
-    b_out = flat[bounds[3] : bounds[4]]
+    b0, b1 = h * d, h * d + h * h
+    b2, b3 = b1 + h, b1 + h + v * h
+    w_in = flat[:b0].reshape(h, d)
+    w_h = flat[b0:b1].reshape(h, h)
+    b_h = flat[b1:b2]
+    w_out = flat[b2:b3].reshape(v, h)
+    b_out = flat[b3 : b3 + v]
     return w_in, w_h, b_h, w_out, b_out
 
 
@@ -122,36 +140,65 @@ def init_policy(cfg: PolicyConfig, seed: int) -> PolicyParams:
     return PolicyParams(cfg=cfg, flat=np.concatenate(parts))
 
 
-def _forward(cfg: PolicyConfig, flat: np.ndarray, context: np.ndarray, tokens: np.ndarray):
-    """Shared forward pass over a batch of complete prompts for one input.
+@dataclass(frozen=True)
+class PolicyTable:
+    """The policy evaluated once on every input of one context.
 
-    Args:
-        context: (context_dim,) context vector, shared by every sample.
-        tokens: (n, T) integer token ids per sample.
+    Row t * V + v is position t after token v. Position 0 has no previous
+    token, so its V rows hold one input and row 0 is the one read. They
+    are kept because a BLAS may pick its kernel by matrix size (OpenBLAS's
+    small-matrix path): with T * V rows the table rounds its products as a
+    per-sample batch of k * T rows does at k = V, which keeps training at
+    k = V = 8 bit-identical to evaluating the sampled rows directly; the
+    1 + (T - 1) * V distinct rows alone did not.
 
-    Returns:
-        (inputs, h0, h1, logits), each with a leading (n, T) block flattened
-        to rows, in token order within each sample.
+    Attributes:
+        params: the parameters the table was evaluated with.
+        inputs, h0, h1: per row, the input vector and both hidden layers.
+        logits, log_p, cum: (T * V, V) logits, log-softmax of
+            logits / temperature, and the cumulative probabilities that
+            sampling compares its draws against.
+        values: (T * V,) soft state values
+            temperature * logsumexp(logits / temperature).
     """
-    w_in, w_h, b_h, w_out, b_out = _views(cfg, flat)
-    n, t_len = tokens.shape
-    x = np.zeros((n, t_len, cfg.input_dim))
-    x[:, :, : cfg.context_dim] = context
-    for t in range(t_len):
-        x[:, t, cfg.context_dim + t] = 1.0
-        if t > 0:
-            x[np.arange(n), t, cfg.context_dim + cfg.prompt_length + tokens[:, t - 1]] = 1.0
-    rows = x.reshape(n * t_len, cfg.input_dim)
-    h0 = np.tanh(rows @ w_in.T)
+
+    params: PolicyParams
+    inputs: np.ndarray
+    h0: np.ndarray
+    h1: np.ndarray
+    logits: np.ndarray
+    log_p: np.ndarray
+    cum: np.ndarray
+    values: np.ndarray
+
+    def rows(self, tokens: np.ndarray) -> np.ndarray:
+        """The (k, T) row ids of the inputs a (k, T) token batch was drawn from."""
+        v = self.params.cfg.vocab_size
+        ids = np.zeros(tokens.shape, dtype=np.int64)
+        ids[:, 1:] = tokens[:, :-1] + v * np.arange(1, tokens.shape[1])
+        return ids
+
+
+def _build_table(params: PolicyParams, context: np.ndarray) -> PolicyTable:
+    """One batched forward pass over the context's T * V inputs."""
+    cfg = params.cfg
+    c, t_len, v = cfg.context_dim, cfg.prompt_length, cfg.vocab_size
+    r = np.arange(t_len * v)
+    x = np.zeros((t_len * v, cfg.input_dim))
+    x[:, :c] = context
+    x[r, c + r // v] = 1.0
+    x[r[v:], c + t_len + r[v:] % v] = 1.0
+    w_in, w_h, b_h, w_out, b_out = _views(cfg, params.flat)
+    h0 = np.tanh(x @ w_in.T)
     h1 = np.tanh(h0 @ w_h.T + b_h)
     logits = h1 @ w_out.T + b_out
-    return rows, h0, h1, logits
-
-
-def _log_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    z = logits / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits / cfg.temperature
+    z_max = z.max(axis=1, keepdims=True)
+    z = z - z_max
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    log_p = z - lse
+    values = cfg.temperature * (lse + z_max)[:, 0]
+    return PolicyTable(params, x, h0, h1, logits, log_p, np.exp(log_p).cumsum(axis=1), values)
 
 
 def _check_context(cfg: PolicyConfig, context) -> np.ndarray:
@@ -165,9 +212,11 @@ def sample_prompts(params: PolicyParams, context, k: int, seed: int):
     """Draw k prompts autoregressively for one context; deterministic per seed.
 
     Returns:
-        (tokens, logits, log_probs): the (k, T) int64 token ids, the
-        (k, T, V) logits each token was drawn from, and the (k,) log
-        probability of each prompt under the sampling distribution.
+        (tokens, table, log_probs): the (k, T) int64 token ids, the
+        context's PolicyTable, which the losses train from, and the (k,)
+        log probability of each prompt under the sampling distribution.
+        The logits token t of prompt j was drawn from are
+        table.logits[table.rows(tokens)][j, t].
 
     Raises:
         ValueError: if k is not positive or the context dimension is wrong.
@@ -176,34 +225,25 @@ def sample_prompts(params: PolicyParams, context, k: int, seed: int):
     ctx = _check_context(cfg, context)
     if k <= 0:
         raise ValueError("k must be positive")
-    w_in, w_h, b_h, w_out, b_out = _views(cfg, params.flat)
-    # Row t is the stream a per-position rng.random(k) would draw.
-    draws = np.random.default_rng(seed).random((cfg.prompt_length, k))
-    rows = np.arange(k)
-
-    tokens = np.zeros((k, cfg.prompt_length), dtype=np.int64)
-    all_logits = np.zeros((k, cfg.prompt_length, cfg.vocab_size))
+    table = _build_table(params, ctx)
+    v = cfg.vocab_size
+    # Row t is the stream a per-position rng.random(k) would draw;
+    # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.
+    draws = Generator(PCG64(seed)).random((cfg.prompt_length, k))
+    tokens = np.empty((k, cfg.prompt_length), dtype=np.int64)
     log_probs = np.zeros(k)
-    x = np.zeros((k, cfg.input_dim))
-    x[:, : cfg.context_dim] = ctx
-    for t in range(cfg.prompt_length):
-        x[:, cfg.context_dim :] = 0.0
-        x[:, cfg.context_dim + t] = 1.0
+    rows = np.zeros(k, dtype=np.int64)
+    for t, draw in enumerate(draws):
         if t > 0:
-            x[rows, cfg.context_dim + cfg.prompt_length + tokens[:, t - 1]] = 1.0
-        h1 = np.tanh(np.tanh(x @ w_in.T) @ w_h.T + b_h)
-        logits = h1 @ w_out.T + b_out
-        log_p = _log_softmax(logits, cfg.temperature)
-        cum = np.exp(log_p).cumsum(axis=1)
-        chosen = np.minimum((draws[t][:, None] >= cum).sum(axis=1), cfg.vocab_size - 1)
+            rows = tokens[:, t - 1] + t * v
+        chosen = np.minimum((draw[:, None] >= table.cum[rows]).sum(axis=1), v - 1)
         tokens[:, t] = chosen
-        all_logits[:, t, :] = logits
-        log_probs += log_p[rows, chosen]
-    return tokens, all_logits, log_probs
+        log_probs += table.log_p[rows, chosen]
+    return tokens, table, log_probs
 
 
-def _check_batch(cfg: PolicyConfig, tokens, context, n_rewards: int):
-    """Validate a (k, T) token batch for one context against its rewards."""
+def _check_tokens(cfg: PolicyConfig, tokens, n_rewards: int) -> np.ndarray:
+    """Validate a (k, T) token batch against its rewards."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[0] == 0 or tokens.shape[1] != cfg.prompt_length:
         raise ValueError(f"expected (k >= 1, {cfg.prompt_length}) tokens, got shape {tokens.shape}")
@@ -211,25 +251,7 @@ def _check_batch(cfg: PolicyConfig, tokens, context, n_rewards: int):
         raise ValueError("token id out of range")
     if n_rewards != tokens.shape[0]:
         raise ValueError("one reward per sample is required")
-    return tokens, _check_context(cfg, context)
-
-
-def _loss_targets(cfg: PolicyConfig, logits: np.ndarray, rewards: np.ndarray, n: int):
-    """Per-position regression targets, treated as constants: (m, n, T), one
-    (n, T) block per column of the (n, m) rewards.
-
-    Interior positions target the next position's soft value, shared by all
-    m columns; the final position targets the scaled terminal reward.
-    """
-    t_len = cfg.prompt_length
-    z = logits / cfg.temperature
-    z_max = z.max(axis=1)
-    values = cfg.temperature * (np.log(np.exp(z - z_max[:, None]).sum(axis=1)) + z_max)
-    values = values.reshape(n, t_len)
-    targets = np.empty((rewards.shape[1], n, t_len))
-    targets[:, :, :-1] = values[:, 1:]
-    targets[:, :, -1] = cfg.reward_scale * rewards.T
-    return targets
+    return tokens
 
 
 def _backward(cfg: PolicyConfig, flat: np.ndarray, rows, h0, h1, d_logits) -> np.ndarray:
@@ -252,12 +274,12 @@ def _backward(cfg: PolicyConfig, flat: np.ndarray, rows, h0, h1, d_logits) -> np
     )
 
 
-def sql_loss_and_grad(params: PolicyParams, tokens, context, rewards):
+def sql_loss_and_grad(table: PolicyTable, tokens, rewards):
     """On-policy soft-Q loss and its analytic parameter gradient.
 
     Args:
+        table: the PolicyTable sample_prompts returned with the tokens.
         tokens: (k, T) token ids, as returned by sample_prompts.
-        context: the one context vector all k prompts were drawn for.
         rewards: (k,) terminal reward per prompt.
 
     Returns:
@@ -267,17 +289,20 @@ def sql_loss_and_grad(params: PolicyParams, tokens, context, rewards):
         ValueError: if rewards are misaligned with samples or non-finite.
     """
     rewards = np.asarray(rewards, dtype=float).ravel()
-    losses, grads = per_objective_loss_grads(params, tokens, context, rewards[:, None])
+    losses, grads = per_objective_loss_grads(table, tokens, rewards[:, None])
     return float(losses[0]), grads[0]
 
 
-def per_objective_loss_grads(params: PolicyParams, tokens, context, reward_vectors):
-    """One soft-Q loss gradient per objective, sharing one forward and one
-    backward pass: the soft values are computed once and the m logit
-    gradients are backpropagated as one stack.
+def per_objective_loss_grads(table: PolicyTable, tokens, reward_vectors):
+    """One soft-Q loss gradient per objective, from the sampled rows of the
+    table: the m logit gradients are backpropagated as one stack.
+
+    Each position regresses its chosen logit onto a constant target: the
+    next position's soft value at interior positions, shared by all m
+    columns, and the scaled terminal reward at the last.
 
     Args:
-        tokens, context: as for sql_loss_and_grad.
+        table, tokens: as for sql_loss_and_grad.
         reward_vectors: (k, m) array-like, one reward vector per sample.
 
     Returns:
@@ -287,24 +312,29 @@ def per_objective_loss_grads(params: PolicyParams, tokens, context, reward_vecto
     Raises:
         ValueError: if rewards are misaligned with samples or non-finite.
     """
-    cfg = params.cfg
+    cfg = table.params.cfg
     rv = np.asarray(reward_vectors, dtype=float)
     if rv.ndim != 2 or rv.shape[1] == 0:
         raise ValueError("reward_vectors must be (n_samples, m) with m >= 1")
-    tokens, ctx = _check_batch(cfg, tokens, context, rv.shape[0])
+    tokens = _check_tokens(cfg, tokens, rv.shape[0])
     if not np.isfinite(rv).all():
         raise ValueError("rewards must be finite")
     n, t_len = tokens.shape
     m, nt = rv.shape[1], n * t_len
-    rows, h0, h1, logits = _forward(cfg, params.flat, ctx, tokens)
+    ids = table.rows(tokens)
+    flat_ids = ids.reshape(nt)
     flat_tokens = tokens.reshape(nt)
-    chosen_q = logits[np.arange(nt), flat_tokens]
+    chosen_q = table.logits[flat_ids, flat_tokens]
 
-    residual = chosen_q - _loss_targets(cfg, logits, rv, n).reshape(m, nt)
+    targets = np.empty((m, n, t_len))
+    targets[:, :, :-1] = table.values[ids[:, 1:]]
+    targets[:, :, -1] = cfg.reward_scale * rv.T
+    residual = chosen_q - targets.reshape(m, nt)
     losses = np.array([0.5 * float(r @ r) / nt for r in residual])
     d_logits = np.zeros((m, nt, cfg.vocab_size))
     d_logits[:, np.arange(nt), flat_tokens] = residual / nt
-    return losses, _backward(cfg, params.flat, rows, h0, h1, d_logits)
+    gathered = (table.inputs[flat_ids], table.h0[flat_ids], table.h1[flat_ids])
+    return losses, _backward(cfg, table.params.flat, *gathered, d_logits)
 
 
 def save_checkpoint(path, params: PolicyParams) -> None:
@@ -312,9 +342,10 @@ def save_checkpoint(path, params: PolicyParams) -> None:
 
     The bytes are those of json.dump(payload, fh, indent=1) plus a newline,
     written in one pass: json's indented encoder is pure Python, while a
-    finite float's repr is exactly the token json writes for it.
+    finite float's repr is exactly the token json writes for it. A config
+    field given as a numpy integer is written as a plain int.
     """
-    head = json.dumps({"config": asdict(params.cfg)}, indent=1)[: -len("\n}")]
+    head = json.dumps({"config": asdict(params.cfg)}, indent=1, default=int)[: -len("\n}")]
     flat = repr(params.flat.tolist())[1:-1].replace(", ", ",\n  ")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{head},\n "flat": [\n  {flat}\n ]\n}}\n')

@@ -4,8 +4,10 @@ One training step mirrors the batched rollout structure of the volume-based
 and MGDA-based loops: pick the next environment input round-robin, sample k
 prompts from the policy, roll out k_hat outputs per prompt, score them, and
 take one Adam step. The step's k prompts travel as arrays: one (k, T) token
-array from `sample_prompts`, one (k, k_hat, m) reward array from `rollout`,
-and the methods differ only in how that array becomes a training signal:
+array and the context's policy table from `sample_prompts`, one
+(k, k_hat, m) reward array from `rollout`. The policy is evaluated once
+per step, into that table; the loss trains from its rows. The methods
+differ only in how the reward array becomes a training signal:
 
 * average / product / hvi: one aggregator call collapses each prompt's
   batch to one scalar (mean of means, expected product, or hypervolume),
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .envs import EnvSpec, builtin_env, rollout
+from .envs import EnvSpec, builtin_env, is_integer, rollout
 from .mgda import min_norm_point
 from .policy import (
     PolicyConfig,
@@ -115,12 +117,17 @@ class TrainConfig:
             raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if not all(map(is_integer, self.seeds)):
+            raise ConfigError(f"seeds must be integers, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             # A repeated seed would train twice, duplicate its metrics rows
             # and overwrite its own checkpoint.
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         for name in ("k", "k_hat", "steps", "eval_every", "eval_total_samples", "hidden_dim"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value <= 0:
                 raise ConfigError(f"{name} must be positive")
         # learning_rate 0 is allowed: it turns training into a no-op probe.
         if self.learning_rate < 0.0:
@@ -220,8 +227,8 @@ def config_from_dict(data: dict, profile: str = "desk") -> TrainConfig:
         fields.update(section)
     if "seeds" in fields:
         try:
-            fields["seeds"] = tuple(int(s) for s in fields["seeds"])
-        except (TypeError, ValueError) as exc:
+            fields["seeds"] = tuple(fields["seeds"])
+        except TypeError as exc:
             raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
     try:
         return TrainConfig(**fields)
@@ -318,12 +325,12 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
     for step in range(1, cfg.steps + 1):
         input_index = (step - 1) % n_inputs
         context = env.inputs[input_index]
-        tokens, _, _ = sample_prompts(params, context, cfg.k, derive_seed(seed, ROLE_PROMPTS, step))
+        tokens, table, _ = sample_prompts(params, context, cfg.k, derive_seed(seed, ROLE_PROMPTS, step))
         rollout_seeds = derive_seeds((seed, ROLE_ROLLOUT, step), [(j,) for j in range(cfg.k)])
         batch = rollout(env, tokens, input_index, cfg.k_hat, rollout_seeds)
 
         if cfg.method == "mgda":
-            losses, grads = per_objective_loss_grads(params, tokens, context, batch.mean(axis=1))
+            losses, grads = per_objective_loss_grads(table, tokens, batch.mean(axis=1))
             healthy = bool(np.isfinite(losses).all() and np.isfinite(grads).all())
             if healthy:
                 try:
@@ -337,7 +344,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
                     healthy = bool(np.isfinite(grad).all())
         else:
             scalars = _prompt_scalars(cfg.method, batch, env.m)
-            loss, grad = sql_loss_and_grad(params, tokens, context, scalars)
+            loss, grad = sql_loss_and_grad(table, tokens, scalars)
             healthy = bool(np.isfinite(loss) and np.isfinite(grad).all())
 
         if not healthy:

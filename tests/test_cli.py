@@ -98,8 +98,38 @@ def test_duplicate_seed_flag_exits_one(tmp_path, capsys):
         {"run": {"seeds": 3}},
         {"run": {"seeds": ["a"]}},
         {"env": {"name": "tug-of-war", "m": "three"}},
+        {"run": {"k": 2.5}},
+        {"run": {"steps": 3.5}},
+        {"run": {"k": True}},
+        {"run": {"eval_every": 1.5, "steps": 3}},
+        {"policy": {"hidden_dim": 4.5}},
+        {"env": {"name": "tug-of-war", "m": 3.0}},
+        {"env": {"name": "tug-of-war", "vocab_size": 8.5}},
+        {"env": {"name": "tug-of-war", "prompt_length": True}},
+        {"env": {"name": "tug-of-war", "n_inputs": True}},
+        {"env": {"name": "tug-of-war", "context_dim": 4.0}},
+        {"env": {"name": "tug-of-war", "seed": 1.5}},
+        {"run": {"seeds": [2.5]}},
+        {"run": {"seeds": [0, True]}},
     ],
-    ids=["seeds-not-a-list", "seed-not-an-int", "m-not-an-int"],
+    ids=[
+        "seeds-not-a-list",
+        "seed-not-an-int",
+        "m-not-an-int",
+        "k-float",
+        "steps-float",
+        "k-bool",
+        "eval-every-float",
+        "hidden-dim-float",
+        "m-integral-float",
+        "vocab-size-float",
+        "prompt-length-bool",
+        "n-inputs-bool",
+        "context-dim-float",
+        "env-seed-float",
+        "seed-float",
+        "seed-bool",
+    ],
 )
 def test_malformed_config_values_exit_one(tmp_path, capsys, section):
     cfg = write_config(tmp_path / "cfg.yaml", **section)

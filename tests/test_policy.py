@@ -230,13 +230,76 @@ def test_sampling_matches_per_position_draws_bitwise(k, seed):
     cfg = small_cfg(vocab_size=5, prompt_length=4, temperature=0.5)
     params = init_policy(cfg, seed=seed)
     ctx = np.random.default_rng(seed).normal(size=2)
-    got = sample_prompts(params, ctx, k=k, seed=seed + 20)
-    want = per_position_sampler(params, ctx, k, seed + 20)
-    assert got[0].shape == (k, 4) and got[0].dtype == np.int64
-    assert got[1].shape == (k, 4, 5)
-    assert got[2].shape == (k,)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    tokens, table, log_probs = sample_prompts(params, ctx, k=k, seed=seed + 20)
+    want_tokens, want_logits, want_log_probs = per_position_sampler(params, ctx, k, seed + 20)
+    assert tokens.shape == (k, 4) and tokens.dtype == np.int64
+    assert log_probs.shape == (k,)
+    assert np.array_equal(tokens, want_tokens)
+    # The table's one (T*V, d) product and the reference's (k, d) product
+    # per position can take different gemm paths: logits and log
+    # probabilities agree to a few ulps, the draws exactly.
+    logits = table.logits[table.rows(tokens)]
+    assert logits.shape == (k, 4, 5)
+    assert np.abs(logits - want_logits).max() <= 2e-15 * np.abs(want_logits).max()
+    assert np.all(np.abs(log_probs - want_log_probs) <= 2e-15 * np.abs(want_log_probs))
+
+
+def oracle_table_inputs(cfg):
+    """(row id, position, previous token or None) for every table row; the
+    V rows of position 0 all hold its one input."""
+    out = []
+    for t in range(cfg.prompt_length):
+        for prev in range(cfg.vocab_size):
+            out.append((len(out), t, prev if t > 0 else None))
+    return out
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_table_rows_equal_oracle_forward(trial):
+    rng = np.random.default_rng(700 + trial)
+    cfg = PolicyConfig(
+        vocab_size=int(rng.integers(2, 9)),
+        prompt_length=int(rng.integers(1, 6)),
+        hidden_dim=int(rng.integers(2, 9)),
+        context_dim=3,
+        temperature=float(rng.uniform(0.2, 2.0)),
+    )
+    params = init_policy(cfg, seed=trial)
+    ctx = rng.normal(size=3)
+    tokens, table, log_probs = sample_prompts(params, ctx, k=16, seed=trial)
+    inputs = oracle_table_inputs(cfg)
+    assert table.logits.shape == (cfg.prompt_length * cfg.vocab_size, cfg.vocab_size)
+    assert len(inputs) == table.logits.shape[0]
+
+    w_in, w_h, b_h, w_out, b_out = oracle_unpack(cfg, params.flat)
+    row_of = {}
+    for r, t, prev in inputs:
+        row_of.setdefault((t, prev), r)
+        x = np.zeros(cfg.input_dim)
+        x[: cfg.context_dim] = ctx
+        x[cfg.context_dim + t] = 1.0
+        if prev is not None:
+            x[cfg.context_dim + cfg.prompt_length + prev] = 1.0
+        h0 = np.tanh(w_in @ x)
+        h1 = np.tanh(w_h @ h0 + b_h)
+        logits = w_out @ h1 + b_out
+        z = logits / cfg.temperature
+        log_p = z - z.max() - math.log(np.exp(z - z.max()).sum())
+        assert np.array_equal(table.inputs[r], x)
+        assert np.abs(table.h0[r] - h0).max() < 1e-12
+        assert np.abs(table.h1[r] - h1).max() < 1e-12
+        assert np.abs(table.logits[r] - logits).max() < 1e-12
+        assert np.abs(table.log_p[r] - log_p).max() < 1e-12
+        assert np.abs(table.cum[r] - np.cumsum(np.exp(log_p))).max() < 1e-12
+        assert table.values[r] == pytest.approx(oracle_soft_value(logits, cfg.temperature), abs=1e-12)
+
+    ids = table.rows(tokens)
+    for j, sample_tokens in enumerate(tokens):
+        total = 0.0
+        for t, token in enumerate(sample_tokens):
+            assert ids[j, t] == row_of[(t, None if t == 0 else sample_tokens[t - 1])]
+            total += table.log_p[ids[j, t], token]
+        assert total == log_probs[j]
 
 
 def test_sampling_rejects_bad_arguments():
@@ -271,7 +334,8 @@ def test_log_prob_matches_recomputation(seed):
     cfg = small_cfg(vocab_size=5, prompt_length=3)
     params = init_policy(cfg, seed=seed % 1000)
     ctx = np.random.default_rng(seed).normal(size=2)
-    tokens, logits, log_probs = sample_prompts(params, ctx, k=3, seed=seed)
+    tokens, table, log_probs = sample_prompts(params, ctx, k=3, seed=seed)
+    logits = table.logits[table.rows(tokens)]
     for sample_tokens, sample_logits, log_prob in zip(tokens, logits, log_probs):
         total = 0.0
         for t in range(cfg.prompt_length):
@@ -293,8 +357,8 @@ def test_zero_policy_zero_reward_closed_form():
     # which tokens were sampled.
     cfg = PolicyConfig(vocab_size=2, prompt_length=2, hidden_dim=3, context_dim=2)
     params = zero_params(cfg)
-    tokens, _, _ = sample_prompts(params, np.zeros(2), k=4, seed=0)
-    loss, grad = sql_loss_and_grad(params, tokens, np.zeros(2), np.zeros(4))
+    tokens, table, _ = sample_prompts(params, np.zeros(2), k=4, seed=0)
+    loss, grad = sql_loss_and_grad(table, tokens, np.zeros(4))
     assert loss == pytest.approx(math.log(2.0) ** 2 / 4.0, abs=1e-12)
     assert grad.shape == (param_count(cfg),)
 
@@ -303,9 +367,9 @@ def test_loss_is_nonnegative_and_matches_oracle():
     cfg = small_cfg()
     params = init_policy(cfg, seed=2)
     ctx = np.array([0.1, 0.4])
-    tokens, _, _ = sample_prompts(params, ctx, k=5, seed=3)
+    tokens, table, _ = sample_prompts(params, ctx, k=5, seed=3)
     rewards = np.linspace(0.0, 1.0, 5)
-    loss, _ = sql_loss_and_grad(params, tokens, ctx, rewards)
+    loss, _ = sql_loss_and_grad(table, tokens, rewards)
     targets = oracle_targets(cfg, params.flat, ctx, tokens, rewards)
     assert loss >= 0.0
     assert loss == pytest.approx(
@@ -315,13 +379,13 @@ def test_loss_is_nonnegative_and_matches_oracle():
 
 def test_loss_rejects_misaligned_rewards():
     params = init_policy(small_cfg(), seed=0)
-    tokens, _, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
+    tokens, table, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
     with pytest.raises(ValueError):
-        sql_loss_and_grad(params, tokens, np.zeros(2), [0.5, 0.5])
+        sql_loss_and_grad(table, tokens, [0.5, 0.5])
     with pytest.raises(ValueError):
-        sql_loss_and_grad(params, tokens, np.zeros(2), [0.5, np.nan, 0.5])
+        sql_loss_and_grad(table, tokens, [0.5, np.nan, 0.5])
     with pytest.raises(ValueError):
-        sql_loss_and_grad(params, np.zeros((0, 2), dtype=np.int64), np.zeros(2), [])
+        sql_loss_and_grad(table, np.zeros((0, 2), dtype=np.int64), [])
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +408,10 @@ def test_gradient_matches_finite_differences(trial):
     )
     params = init_policy(cfg, seed=trial)
     ctx = rng.normal(size=2)
-    tokens, _, _ = sample_prompts(params, ctx, k=3, seed=trial + 50)
+    tokens, table, _ = sample_prompts(params, ctx, k=3, seed=trial + 50)
     rewards = rng.uniform(0.0, 1.0, size=3)
 
-    _, analytic = sql_loss_and_grad(params, tokens, ctx, rewards)
+    _, analytic = sql_loss_and_grad(table, tokens, rewards)
     targets = oracle_targets(cfg, params.flat, ctx, tokens, rewards)
 
     eps = 1e-4
@@ -371,22 +435,24 @@ def test_per_objective_matches_single_objective_bitwise():
     cfg = small_cfg(vocab_size=4, prompt_length=3)
     params = init_policy(cfg, seed=7)
     ctx = np.array([0.2, -0.3])
-    tokens, _, _ = sample_prompts(params, ctx, k=6, seed=8)
+    tokens, table, _ = sample_prompts(params, ctx, k=6, seed=8)
     rv = np.random.default_rng(9).uniform(0.0, 1.0, size=(6, 3))
-    losses, grads = per_objective_loss_grads(params, tokens, ctx, rv)
+    losses, grads = per_objective_loss_grads(table, tokens, rv)
     for i in range(3):
-        loss_i, grad_i = sql_loss_and_grad(params, tokens, ctx, rv[:, i])
+        loss_i, grad_i = sql_loss_and_grad(table, tokens, rv[:, i])
         assert losses[i] == loss_i
         assert np.array_equal(grads[i], grad_i)
 
 
-def per_column_loss_grads(params, tokens, context, reward_vectors):
-    """Reference: one soft-value pass and one 2-D backward per reward column."""
-    cfg = params.cfg
-    w_in, w_h, _, w_out, _ = policy_module._views(cfg, params.flat)
-    rows, h0, h1, logits = policy_module._forward(cfg, params.flat, np.asarray(context, float), tokens)
+def per_column_loss_grads(table, tokens, reward_vectors):
+    """Reference: one soft-value pass and one 2-D backward per reward column,
+    over the table rows the sampled positions read."""
+    cfg = table.params.cfg
+    w_in, w_h, _, w_out, _ = policy_module._views(cfg, table.params.flat)
     n, t_len = tokens.shape
     nt = n * t_len
+    ids = table.rows(tokens).reshape(nt)
+    rows, h0, h1, logits = table.inputs[ids], table.h0[ids], table.h1[ids], table.logits[ids]
     flat_tokens = tokens.reshape(nt)
     chosen_q = logits[np.arange(nt), flat_tokens]
     losses, grads = [], []
@@ -417,45 +483,45 @@ def test_stacked_backward_rows_equal_per_column_reference_bitwise(m, k, trial):
     cfg = PolicyConfig(vocab_size=8, prompt_length=5, temperature=float(rng.uniform(0.2, 2.0)))
     params = init_policy(cfg, seed=trial)
     ctx = rng.normal(size=cfg.context_dim)
-    tokens, _, _ = sample_prompts(params, ctx, k=k, seed=trial)
+    tokens, table, _ = sample_prompts(params, ctx, k=k, seed=trial)
     rv = rng.uniform(0.0, 1.0, size=(k, m))
-    losses, grads = per_objective_loss_grads(params, tokens, ctx, rv)
-    ref_losses, ref_grads = per_column_loss_grads(params, tokens, ctx, rv)
+    losses, grads = per_objective_loss_grads(table, tokens, rv)
+    ref_losses, ref_grads = per_column_loss_grads(table, tokens, rv)
     assert grads.shape == (m, param_count(cfg))
     assert np.array_equal(losses, ref_losses)
     assert np.array_equal(grads, ref_grads)
-    loss0, grad0 = sql_loss_and_grad(params, tokens, ctx, rv[:, 0])
+    loss0, grad0 = sql_loss_and_grad(table, tokens, rv[:, 0])
     assert loss0 == losses[0]
     assert np.array_equal(grad0, grads[0])
 
 
 def test_identical_objectives_give_identical_gradients():
     params = init_policy(small_cfg(), seed=1)
-    tokens, _, _ = sample_prompts(params, np.zeros(2), k=4, seed=2)
+    tokens, table, _ = sample_prompts(params, np.zeros(2), k=4, seed=2)
     col = np.random.default_rng(3).uniform(0.0, 1.0, size=4)
     rv = np.stack([col, col, col], axis=1)
-    _, grads = per_objective_loss_grads(params, tokens, np.zeros(2), rv)
+    _, grads = per_objective_loss_grads(table, tokens, rv)
     assert np.array_equal(grads[0], grads[1])
     assert np.array_equal(grads[0], grads[2])
 
 
 def test_per_objective_single_column_equals_sql_loss():
     params = init_policy(small_cfg(), seed=4)
-    tokens, _, _ = sample_prompts(params, np.zeros(2), k=3, seed=5)
+    tokens, table, _ = sample_prompts(params, np.zeros(2), k=3, seed=5)
     col = np.array([0.1, 0.9, 0.4])
-    losses, grads = per_objective_loss_grads(params, tokens, np.zeros(2), col[:, None])
-    loss, grad = sql_loss_and_grad(params, tokens, np.zeros(2), col)
+    losses, grads = per_objective_loss_grads(table, tokens, col[:, None])
+    loss, grad = sql_loss_and_grad(table, tokens, col)
     assert losses[0] == loss
     assert np.array_equal(grads[0], grad)
 
 
 def test_per_objective_rejects_bad_shapes():
     params = init_policy(small_cfg(), seed=0)
-    tokens, _, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
+    tokens, table, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
     with pytest.raises(ValueError):
-        per_objective_loss_grads(params, tokens, np.zeros(2), np.zeros((2, 2)))
+        per_objective_loss_grads(table, tokens, np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        per_objective_loss_grads(params, tokens, np.zeros(2), np.zeros((3, 0)))
+        per_objective_loss_grads(table, tokens, np.zeros((3, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +537,12 @@ def test_bandit_smoke_convergence():
     flat = params.flat
     for step in range(500):
         current = PolicyParams(cfg, flat)
-        tokens, _, _ = sample_prompts(current, ctx, k=16, seed=1000 + step)
+        tokens, table, _ = sample_prompts(current, ctx, k=16, seed=1000 + step)
         rewards = np.array([1.0 if row[0] == 3 else 0.0 for row in tokens])
-        _, grad = sql_loss_and_grad(current, tokens, ctx, rewards)
+        _, grad = sql_loss_and_grad(table, tokens, rewards)
         flat = flat - 0.1 * grad
-    _, probe_logits, _ = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)
+    probe_tokens, probe_table, _ = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)
+    probe_logits = probe_table.logits[probe_table.rows(probe_tokens)]
     z = probe_logits[0][0] / cfg.temperature
     probs = np.exp(z - z.max())
     probs /= probs.sum()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moprompt import runner
+from moprompt import policy, runner
 from moprompt.envs import builtin_env
 from moprompt.policy import load_checkpoint
 from moprompt.runner import (
@@ -121,6 +121,23 @@ def test_config_rejects_bad_values():
         tiny_config(adam_eps=0.0)
     with pytest.raises(ConfigError):
         tiny_config(temperature=0.0)
+
+
+def test_numpy_integer_config_fields_train_and_checkpoint(tmp_path):
+    env = builtin_env(
+        "tug-of-war", m=np.int64(2), seed=0, vocab_size=np.int64(6), n_inputs=np.int32(2)
+    )
+    cfg = tiny_config(
+        env=env,
+        k=np.int64(3),
+        steps=np.int64(2),
+        eval_every=np.int64(1),
+        hidden_dim=np.int64(4),
+        out_dir=str(tmp_path),
+    )
+    assert len(train(cfg).records) == 3
+    loaded = load_checkpoint(tmp_path / "checkpoint_0.txt")
+    assert loaded.cfg.hidden_dim == 4 and type(loaded.cfg.hidden_dim) is int
 
 
 def test_config_allows_zero_learning_rate():
@@ -278,6 +295,37 @@ def test_one_rollout_call_per_step_and_eval_input(monkeypatch, method):
     n_inputs = cfg.env.inputs.shape[0]
     assert len(shapes) == 6 + n_evals * n_inputs
     assert shapes.count((cfg.k, cfg.k_hat, cfg.env.m)) == 6
+
+
+@pytest.mark.parametrize("method", ["product", "mgda"])
+def test_one_policy_evaluation_per_step_and_eval_input(monkeypatch, method):
+    builds = []
+    original_build = policy._build_table
+
+    def counting_build(params, context):
+        builds.append(1)
+        return original_build(params, context)
+
+    def no_builds(name):
+        original = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            before = len(builds)
+            out = original(*args, **kwargs)
+            assert len(builds) == before, f"{name} evaluated the policy"
+            return out
+
+        monkeypatch.setattr(runner, name, wrapper)
+
+    monkeypatch.setattr(policy, "_build_table", counting_build)
+    no_builds("sql_loss_and_grad")
+    no_builds("per_objective_loss_grads")
+    cfg = tiny_config(method=method, steps=6, eval_every=3)
+    n_inputs = cfg.env.inputs.shape[0]
+    for seeds in ((0,), (1, 2)):
+        builds.clear()
+        assert not train(replace(cfg, seeds=seeds)).aborts
+        assert len(builds) == len(seeds) * (6 + n_inputs * (1 + 6 // 3))
 
 
 def test_training_improves_expected_product_on_tug_of_war():
