@@ -1,6 +1,6 @@
 """Synthetic stand-ins for a frozen generator plus reward models.
 
-Each environment is a stochastic channel from (prompt tokens, input) to a
+Each environment is a stochastic channel from prompt tokens to a
 (k_hat, m) reward batch: one row of m deliberately conflicting reward
 scores per generated output, with known Pareto structure:
 
@@ -19,8 +19,8 @@ scores per generated output, with known Pareto structure:
   their own RNG stream.
 
 Rewards are always the latent clamped to [0, 1] componentwise. One
-`rollout` call scores all k prompts of a training step: a (k, T) token
-array in, the step's (k, k_hat, m) reward array out.
+`rollout` call scores k prompts, for example all of a training step's: a
+(k, T) token array and k seeds in, the (k, k_hat, m) reward array out.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_finite_reals(error: type, **values) -> None:
+    """Raise `error` naming the first value that is not a finite real number.
+
+    Bools are rejected: YAML's `true` would otherwise train as 1.0.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise error(f"{name} must be a finite number, got {value!r}")
+
+
 def _check_integers(**values) -> None:
     for name, value in values.items():
         if not is_integer(value):
@@ -89,6 +99,7 @@ class EnvSpec:
             raise ValueError("prompt_length must be positive")
         if self.inputs.ndim != 2 or self.inputs.shape[0] == 0:
             raise ValueError("inputs must be a nonempty (n_inputs, context_dim) array")
+        check_finite_reals(ValueError, noise_scale=self.noise_scale, outlier_prob=self.outlier_prob)
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be nonnegative")
         if not 0.0 <= self.outlier_prob <= 1.0:
@@ -154,33 +165,25 @@ def _arm_means(env: EnvSpec, rows: np.ndarray) -> np.ndarray:
     return means
 
 
-def rollout(env: EnvSpec, tokens, input_index: int, k_hat: int, seed) -> np.ndarray:
-    """Draw the (k, k_hat, m) float64 reward batches of k prompts for one input.
+def rollout(env: EnvSpec, tokens, seeds, k_hat: int) -> np.ndarray:
+    """Draw the (k, k_hat, m) float64 reward batches of k prompts.
 
-    `tokens` is a (k, T) array with one seed per row, or one (T,) prompt
-    with one int seed, which returns its (k_hat, m) batch. Row j depends
-    only on (env, tokens[j], seed[j]), so it equals the single-prompt call.
-    Noise and outlier replacement use disjoint RNG streams derived from the
-    seed, so setting outlier_prob to zero reproduces the noise stream exactly.
+    `tokens` is a (k, T) array with one seed per row. Row j depends only
+    on (env, tokens[j], seeds[j]), so it equals the one-row call on that
+    prompt. Noise and outlier replacement use disjoint RNG streams derived
+    from the seed, so setting outlier_prob to zero reproduces the noise
+    stream exactly.
 
     Raises:
-        ValueError: for an invalid input index, bad k_hat, not one seed per
-            row, or prompts that do not match the environment's token space.
+        ValueError: for bad k_hat, not one seed per row, or prompts that do
+            not match the environment's token space.
     """
     rows = np.asarray(tokens, dtype=np.int64)
-    single = rows.ndim == 1
-    rows = rows.reshape(1, -1) if single else rows
-    if isinstance(seed, (int, np.integer)) != single:
-        raise ValueError(
-            "a (T,) prompt takes one int seed" if single else "a (k, T) batch takes one seed per row"
-        )
-    seeds = [seed] if single else list(seed)
-    if not 0 <= input_index < env.inputs.shape[0]:
-        raise ValueError(f"input_index {input_index} out of range for {env.inputs.shape[0]} inputs")
+    seeds = list(seeds)
     if k_hat <= 0:
         raise ValueError("k_hat must be positive")
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != env.prompt_length:
-        raise ValueError("prompt length does not match environment")
+        raise ValueError(f"tokens must be a nonempty (k, {env.prompt_length}) array, got {rows.shape}")
     if len(seeds) != rows.shape[0]:
         raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} prompts")
     if rows.min() < 0 or rows.max() >= env.vocab_size:
@@ -199,5 +202,4 @@ def rollout(env: EnvSpec, tokens, input_index: int, k_hat: int, seed) -> np.ndar
         for j, s in enumerate(seeds):
             draws = Generator(PCG64(derive_seed(s, ROLE_OUTLIER))).random(k_hat)
             latents[j, draws < env.outlier_prob] = OUTLIER_LATENT
-    rewards = np.clip(latents, 0.0, 1.0)
-    return rewards[0] if single else rewards
+    return np.clip(latents, 0.0, 1.0)

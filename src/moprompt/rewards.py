@@ -1,11 +1,11 @@
 """Batch reward aggregation: the scalar training signals for each method.
 
 A reward batch is one (n, m) array: a row of m objective scores per
-generated output. Each aggregator collapses it to the float that becomes
-the prompt's terminal reward in the soft-Q loss: the grand mean, the
-expected product, or the hypervolume of the batch as a point set. A
-training step's (k, n, m) stack of batches, one per prompt, collapses in
-one call to the (k,) array of those floats.
+generated output. Each aggregator takes a training step's (k, n, m) stack
+of batches, one per prompt, and collapses each batch to the float that
+becomes the prompt's terminal reward in the soft-Q loss: the grand mean,
+the expected product, or the hypervolume of the batch as a point set. The
+result is the (k,) array of those floats.
 """
 
 from __future__ import annotations
@@ -34,53 +34,49 @@ class EvaluationMetrics:
     hvi: float
 
 
-def _as_batch(batch, ndims=(2, 3)) -> np.ndarray:
+def _as_batch(batch, ndim: int) -> np.ndarray:
     arr = np.asarray(batch, dtype=float)
-    if arr.ndim not in ndims or 0 in arr.shape:
-        raise ValueError(f"expected a nonempty batch with ndim in {ndims}, got shape {arr.shape}")
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"expected a nonempty {ndim}-d batch, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("reward batch must be finite")
     return arr
 
 
-def aggregate_average(batch):
-    """The grand mean: mean over samples of each sample's mean objective.
+def aggregate_average(batch) -> np.ndarray:
+    """Per batch, the grand mean: mean over samples of each sample's mean
+    objective.
 
     Raises:
-        ValueError: on an empty or non-finite batch.
+        ValueError: on an empty or non-finite stack.
     """
-    arr = _as_batch(batch)
-    out = arr.mean(axis=-1).mean(axis=-1)
-    return float(out) if arr.ndim == 2 else out
+    return _as_batch(batch, 3).mean(axis=-1).mean(axis=-1)
 
 
-def aggregate_product(batch):
-    """The expected product: mean over samples of the product of objectives.
+def aggregate_product(batch) -> np.ndarray:
+    """Per batch, the expected product: mean over samples of the product of
+    objectives.
 
     Raises:
-        ValueError: on an empty batch or any negative reward.
+        ValueError: on an empty stack or any negative reward.
     """
-    arr = _as_batch(batch)
+    arr = _as_batch(batch, 3)
     if (arr < 0.0).any():
         raise ValueError("product aggregation requires nonnegative rewards")
-    out = arr.prod(axis=-1).mean(axis=-1)
-    return float(out) if arr.ndim == 2 else out
+    return arr.prod(axis=-1).mean(axis=-1)
 
 
-def aggregate_hvi(batch, ref):
-    """Hypervolume of the batch as a point set above ref.
+def aggregate_hvi(batch, ref) -> np.ndarray:
+    """Per batch, the hypervolume of the batch as a point set above ref.
 
     Dominated samples add nothing; the volume has no canonical per-sample
     decomposition, so each (n, m) batch yields one scalar, from one
     hypervolume call.
 
     Raises:
-        ValueError: on an empty batch or a reference point of wrong dimension.
+        ValueError: on an empty stack or a reference point of wrong dimension.
     """
-    arr = _as_batch(batch)
-    if arr.ndim == 2:
-        return hypervolume(arr, ref)
-    return np.array([hypervolume(b, ref) for b in arr])
+    return np.array([hypervolume(b, ref) for b in _as_batch(batch, 3)])
 
 
 def evaluation_metrics(batch, ref) -> EvaluationMetrics:
@@ -89,7 +85,7 @@ def evaluation_metrics(batch, ref) -> EvaluationMetrics:
     Raises:
         ValueError: on an empty batch.
     """
-    arr = _as_batch(batch, ndims=(2,))
+    arr = _as_batch(batch, 2)
     per_objective = arr.mean(axis=0)
     return EvaluationMetrics(
         per_objective_means=per_objective,

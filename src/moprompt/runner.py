@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .envs import EnvSpec, builtin_env, is_integer, rollout
+from .envs import EnvSpec, builtin_env, check_finite_reals, is_integer, rollout
 from .mgda import min_norm_point
 from .policy import (
     PolicyConfig,
@@ -129,6 +129,15 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value <= 0:
                 raise ConfigError(f"{name} must be positive")
+        check_finite_reals(
+            ConfigError,
+            learning_rate=self.learning_rate,
+            adam_beta1=self.adam_beta1,
+            adam_beta2=self.adam_beta2,
+            adam_eps=self.adam_eps,
+            temperature=self.temperature,
+            reward_scale=self.reward_scale,
+        )
         # learning_rate 0 is allowed: it turns training into a no-op probe.
         if self.learning_rate < 0.0:
             raise ConfigError("learning_rate must be nonnegative")
@@ -288,14 +297,14 @@ def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int):
     env = cfg.env
     n_inputs = env.inputs.shape[0]
     k_hat_eval = max(1, cfg.eval_total_samples // n_inputs)
-    batches = []
-    for idx in range(n_inputs):
-        tokens, _, _ = sample_prompts(
-            params, env.inputs[idx], k=1, seed=derive_seed(seed, ROLE_EVAL, idx, 0)
-        )
-        eval_seed = derive_seed(seed, ROLE_EVAL, idx, 1)
-        batches.append(rollout(env, tokens[0], idx, k_hat_eval, eval_seed))
-    return evaluation_metrics(np.vstack(batches), np.zeros(env.m))
+    # Each input has its own context and so its own policy table.
+    rows = [
+        sample_prompts(params, env.inputs[idx], k=1, seed=derive_seed(seed, ROLE_EVAL, idx, 0))[0]
+        for idx in range(n_inputs)
+    ]
+    eval_seeds = derive_seeds((seed, ROLE_EVAL), [(idx, 1) for idx in range(n_inputs)])
+    batch = rollout(env, np.vstack(rows), eval_seeds, k_hat_eval)
+    return evaluation_metrics(batch.reshape(-1, env.m), np.zeros(env.m))
 
 
 def _record(cfg, step, seed, params, norm_sq) -> MetricsRecord:
@@ -323,11 +332,10 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
     params = PolicyParams(pcfg, flat)
     result.records.append(_record(cfg, 0, seed, params, norm_sq))
     for step in range(1, cfg.steps + 1):
-        input_index = (step - 1) % n_inputs
-        context = env.inputs[input_index]
+        context = env.inputs[(step - 1) % n_inputs]
         tokens, table, _ = sample_prompts(params, context, cfg.k, derive_seed(seed, ROLE_PROMPTS, step))
         rollout_seeds = derive_seeds((seed, ROLE_ROLLOUT, step), [(j,) for j in range(cfg.k)])
-        batch = rollout(env, tokens, input_index, cfg.k_hat, rollout_seeds)
+        batch = rollout(env, tokens, rollout_seeds, cfg.k_hat)
 
         if cfg.method == "mgda":
             losses, grads = per_objective_loss_grads(table, tokens, batch.mean(axis=1))
@@ -365,12 +373,14 @@ def train(cfg: TrainConfig) -> TrainResult:
     A non-finite loss or gradient aborts that seed with a diagnostic entry
     in `aborts` and leaves the other seeds untouched.
     """
+    if cfg.out_dir is not None:
+        # An unusable directory fails before the first step, not after the last.
+        os.makedirs(cfg.out_dir, exist_ok=True)
     result = TrainResult()
     finals = {}
     for seed in cfg.seeds:
         finals[seed] = _train_one_seed(cfg, seed, result)
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         write_metrics_csv(result.records, os.path.join(cfg.out_dir, "metrics.csv"))
         for seed, params in finals.items():
             save_checkpoint(os.path.join(cfg.out_dir, f"checkpoint_{seed}.txt"), params)
@@ -387,6 +397,8 @@ def compare_methods(cfg_base: TrainConfig) -> TrainResult:
     Writes metrics.csv and table1_analog.csv (see `comparison_table`) when
     out_dir is set.
     """
+    if cfg_base.out_dir is not None:
+        os.makedirs(cfg_base.out_dir, exist_ok=True)
     combined = TrainResult()
     for method in METHODS:
         cfg = replace(cfg_base, method=method, out_dir=None)
@@ -394,7 +406,6 @@ def compare_methods(cfg_base: TrainConfig) -> TrainResult:
         combined.records.extend(part.records)
         combined.aborts.extend(part.aborts)
     if cfg_base.out_dir is not None:
-        os.makedirs(cfg_base.out_dir, exist_ok=True)
         write_metrics_csv(combined.records, os.path.join(cfg_base.out_dir, "metrics.csv"))
         rows = comparison_table(combined.records, cfg_base.env.m)
         table_path = os.path.join(cfg_base.out_dir, "table1_analog.csv")
@@ -466,7 +477,7 @@ def write_metrics_csv(records: list, path) -> None:
 
 
 def read_metrics_csv(path) -> list:
-    """Inverse of write_metrics_csv, for the scatter subcommand."""
+    """Inverse of write_metrics_csv, for the scatter and inspect subcommands."""
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)

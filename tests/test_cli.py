@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import moprompt
+from moprompt import runner
 from moprompt.cli import main
 from moprompt.runner import read_metrics_csv
 
@@ -111,6 +112,17 @@ def test_duplicate_seed_flag_exits_one(tmp_path, capsys):
         {"env": {"name": "tug-of-war", "seed": 1.5}},
         {"run": {"seeds": [2.5]}},
         {"run": {"seeds": [0, True]}},
+        {"optimizer": {"learning_rate": float("nan")}},
+        {"optimizer": {"learning_rate": float("inf")}},
+        {"optimizer": {"adam_eps": float("nan")}},
+        {"env": {"name": "tug-of-war", "noise_scale": float("nan")}},
+        {"policy": {"temperature": float("nan")}},
+        {"policy": {"reward_scale": float("inf")}},
+        {"optimizer": {"learning_rate": True}},
+        {"policy": {"temperature": True}},
+        {"env": {"name": "tug-of-war", "noise_scale": True}},
+        {"env": {"name": "outlier-prone", "outlier_prob": True}},
+        {"optimizer": {"learning_rate": "1e-4"}},
     ],
     ids=[
         "seeds-not-a-list",
@@ -129,12 +141,48 @@ def test_duplicate_seed_flag_exits_one(tmp_path, capsys):
         "env-seed-float",
         "seed-float",
         "seed-bool",
+        "learning-rate-nan",
+        "learning-rate-inf",
+        "adam-eps-nan",
+        "noise-scale-nan",
+        "temperature-nan",
+        "reward-scale-inf",
+        "learning-rate-bool",
+        "temperature-bool",
+        "noise-scale-bool",
+        "outlier-prob-bool",
+        "learning-rate-string",
     ],
 )
 def test_malformed_config_values_exit_one(tmp_path, capsys, section):
     cfg = write_config(tmp_path / "cfg.yaml", **section)
     assert main(["train", "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_float_config_error_names_field_and_value(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml", optimizer={"learning_rate": float("nan")})
+    assert main(["train", "--config", cfg]) == 1
+    assert "learning_rate must be a finite number, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_unusable_out_dir_exits_one_before_training(tmp_path, monkeypatch, capsys, command):
+    calls = []
+    original = runner.sample_prompts
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "sample_prompts", counting)
+    cfg = write_config(tmp_path / "cfg.yaml")
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, blocker / "run"):
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_invalid_env_name_rejected_by_parser(tmp_path):
@@ -170,6 +218,44 @@ def test_scatter_subcommand_roundtrip(tmp_path):
 
 def test_scatter_without_metrics_exits_one(tmp_path):
     assert main(["scatter", "--out-dir", str(tmp_path)]) == 1
+
+
+def test_inspect_prints_tail_means_per_method_and_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml", run={"k": 2, "k_hat": 2, "steps": 12, "eval_every": 2})
+    out = tmp_path / "run"
+    assert main(["compare", "--config", cfg, "--seed", "0,3", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(out)]) == 0
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert printed[0] == ["method", "seed", "evals", "min_objective", "product", "average", "hvi"]
+
+    records = read_metrics_csv(out / "metrics.csv")
+    expected = []
+    for method in sorted({r.method for r in records}):
+        for seed in (0, 3):
+            run = [r for r in records if r.method == method and r.seed == seed]
+            run.sort(key=lambda r: r.step)
+            assert len(run) == 12 // 2 + 1
+            tail = run[-5:]
+            means = [
+                np.mean([min(r.per_objective_means) for r in tail]),
+                np.mean([r.expected_product for r in tail]),
+                np.mean([r.mean_of_means for r in tail]),
+                np.mean([r.hvi for r in tail]),
+            ]
+            # Integer cells print as integers, the rest scaled by 100 to two decimals.
+            cells = [f"{float(x) * 100.0:.2f}" for x in means]
+            expected.append([method, str(seed), str(len(run))] + cells)
+    assert printed[1:] == expected
+    assert len(expected) == 4 * 2
+
+
+def test_inspect_without_metrics_exits_one(tmp_path, capsys):
+    assert main(["inspect", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+    (tmp_path / "metrics.csv").write_text("", encoding="utf-8")
+    assert main(["inspect", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_compare_subcommand_writes_table(tmp_path, capsys):

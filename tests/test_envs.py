@@ -69,23 +69,21 @@ def test_rollout_rejects_bad_arguments():
     env = tug()
     prompt = [0, 1, 0, 1, 0]
     with pytest.raises(ValueError):
-        rollout(env, prompt, input_index=4, k_hat=8, seed=0)
+        rollout(env, [prompt], [0], k_hat=0)
     with pytest.raises(ValueError):
-        rollout(env, prompt, input_index=0, k_hat=0, seed=0)
+        rollout(env, [[0, 1]], [0], k_hat=8)
     with pytest.raises(ValueError):
-        rollout(env, [0, 1], input_index=0, k_hat=8, seed=0)
-    with pytest.raises(ValueError):
-        rollout(env, [0, 1, 0, 1, 9], input_index=0, k_hat=8, seed=0)
+        rollout(env, [[0, 1, 0, 1, 9]], [0], k_hat=8)
 
 
 def test_rollout_is_reproducible_per_seed():
     env = tug(noise=0.05)
-    a = rollout(env, [0, 1, 2, 3, 4], 0, k_hat=128, seed=42)
-    b = rollout(env, [0, 1, 2, 3, 4], 0, k_hat=128, seed=42)
+    a = rollout(env, [[0, 1, 2, 3, 4]], [42], k_hat=128)[0]
+    b = rollout(env, [[0, 1, 2, 3, 4]], [42], k_hat=128)[0]
     assert a.shape == (128, 2)
     assert a.dtype == np.float64
     assert np.array_equal(a, b)
-    c = rollout(env, [0, 1, 2, 3, 4], 0, k_hat=128, seed=43)
+    c = rollout(env, [[0, 1, 2, 3, 4]], [43], k_hat=128)[0]
     assert not np.array_equal(a[0], c[0])
 
 
@@ -96,11 +94,11 @@ def test_batched_rollout_rows_equal_single_prompt_calls(name, m, k):
     env = builtin_env(name, m=m, seed=m, outlier_prob=0.3)
     tokens = np.random.default_rng(10 * m + k).integers(0, env.vocab_size, size=(k, 5))
     seeds = [derive_seed(m, k, j) for j in range(k)]
-    batch = rollout(env, tokens, 1, 64, seeds)
+    batch = rollout(env, tokens, seeds, 64)
     assert batch.shape == (k, 64, m)
     assert batch.dtype == np.float64
     for row, seed, rewards in zip(tokens, seeds, batch):
-        assert np.array_equal(rewards, rollout(env, row, 1, 64, seed))
+        assert np.array_equal(rewards, rollout(env, [row], [seed], 64)[0])
     if name == "outlier-prone":
         assert np.all(batch == OUTLIER_LATENT, axis=-1).any()
 
@@ -109,15 +107,17 @@ def test_batched_rollout_rejects_bad_batches():
     env = tug()
     tokens = np.zeros((3, 5), dtype=np.int64)
     with pytest.raises(ValueError):
-        rollout(env, tokens, 0, 8, [0, 1])
+        rollout(env, tokens, [0, 1], 8)
     with pytest.raises(ValueError):
-        rollout(env, np.zeros((3, 4), dtype=np.int64), 0, 8, [0, 1, 2])
+        rollout(env, np.zeros((3, 4), dtype=np.int64), [0, 1, 2], 8)
     with pytest.raises(ValueError):
-        rollout(env, np.zeros((0, 5), dtype=np.int64), 0, 8, [])
-    with pytest.raises(ValueError, match="one seed per row"):
-        rollout(env, tokens, 0, 8, 0)
-    with pytest.raises(ValueError, match="one int seed"):
-        rollout(env, tokens[0], 0, 8, [0])
+        rollout(env, np.zeros((0, 5), dtype=np.int64), [], 8)
+    with pytest.raises(ValueError, match="4 seeds for 3 prompts"):
+        rollout(env, tokens, [0, 1, 2, 3], 8)
+    with pytest.raises(ValueError, match="0 seeds for 1 prompts"):
+        rollout(env, tokens[:1], [], 8)
+    with pytest.raises(ValueError, match=r"\(k, 5\) array"):
+        rollout(env, tokens[0], [0], 8)
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +127,26 @@ def test_batched_rollout_rejects_bad_batches():
 def test_single_axis_prompt_noise_free():
     for m in (2, 3):
         env = tug(m=m)
-        rewards = rollout(env, [0] * 5, 0, k_hat=16, seed=1)
+        rewards = rollout(env, [[0] * 5], [1], k_hat=16)[0]
         assert rewards.shape == (16, m)
         expected = np.zeros(m)
         expected[0] = 1.0
         assert np.array_equal(rewards, np.tile(expected, (16, 1)))
-        rewards = rollout(env, [1] * 5, 0, k_hat=4, seed=2)
+        rewards = rollout(env, [[1] * 5], [2], k_hat=4)[0]
         assert np.all(rewards[:, 1] == 1.0)
         assert np.all(rewards[:, 0] == 0.0)
 
 
 def test_balanced_prompt_noise_free():
     env = tug(m=2, prompt_length=4)
-    rewards = rollout(env, [0, 1, 0, 1], 0, k_hat=8, seed=3)
+    rewards = rollout(env, [[0, 1, 0, 1]], [3], k_hat=8)[0]
     assert rewards.tolist() == [[0.5, 0.5]] * 8
 
 
 def test_vote_fraction_construction():
     env = tug(m=3)
     # tokens 0,3,6 vote axis 0; 1,4,7 axis 1; 2,5 axis 2
-    rewards = rollout(env, [0, 3, 1, 2, 2], 0, k_hat=4, seed=4)
+    rewards = rollout(env, [[0, 3, 1, 2, 2]], [4], k_hat=4)[0]
     assert rewards.shape == (4, 3)
     for row in rewards:
         assert row.tolist() == pytest.approx([0.4, 0.2, 0.4], abs=1e-15)
@@ -159,7 +159,7 @@ def test_simplex_law_exact_at_shipped_lengths():
         for m in (2, 3):
             env = tug(m=m, prompt_length=t_len)
             for combo in itertools.combinations_with_replacement(range(m), t_len):
-                rewards = rollout(env, list(combo), 0, k_hat=1, seed=0)[0]
+                rewards = rollout(env, [combo], [0], k_hat=1)[0, 0]
                 assert float(rewards.sum()) == 1.0
 
 
@@ -168,7 +168,7 @@ def test_simplex_law_exact_at_shipped_lengths():
 def test_simplex_law_general(seed, m, t_len):
     env = tug(m=m, prompt_length=t_len)
     tokens = np.random.default_rng(seed).integers(0, env.vocab_size, size=t_len)
-    for row in rollout(env, tokens, 0, k_hat=2, seed=seed):
+    for row in rollout(env, [tokens], [seed], k_hat=2)[0]:
         assert abs(float(row.sum()) - 1.0) <= 1e-15
 
 
@@ -176,7 +176,7 @@ def test_simplex_law_general(seed, m, t_len):
 @settings(max_examples=40, deadline=None)
 def test_rewards_always_in_unit_box(seed):
     env = tug(m=2, noise=0.7)
-    rewards = rollout(env, [0, 0, 0, 0, 1], 0, k_hat=32, seed=seed)
+    rewards = rollout(env, [[0, 0, 0, 0, 1]], [seed], k_hat=32)[0]
     assert rewards.shape == (32, 2)
     assert rewards.dtype == np.float64
     assert rewards.min() >= 0.0
@@ -197,20 +197,20 @@ def test_rewards_always_in_unit_box(seed):
 def test_outlier_prob_zero_matches_tug_of_war_bitwise():
     base = tug(m=2, noise=0.05)
     out = builtin_env("outlier-prone", m=2, seed=0, noise_scale=0.05, outlier_prob=0.0)
-    a = rollout(base, [0, 1, 1, 0, 1], 2, k_hat=64, seed=9)
-    b = rollout(out, [0, 1, 1, 0, 1], 2, k_hat=64, seed=9)
+    a = rollout(base, [[0, 1, 1, 0, 1]], [9], k_hat=64)[0]
+    b = rollout(out, [[0, 1, 1, 0, 1]], [9], k_hat=64)[0]
     assert np.array_equal(a, b)
 
 
 def test_outlier_replacement():
     env = builtin_env("outlier-prone", m=3, seed=0, outlier_prob=1.0)
-    rewards = rollout(env, [0, 1, 2, 0, 1], 0, k_hat=8, seed=5)
+    rewards = rollout(env, [[0, 1, 2, 0, 1]], [5], k_hat=8)[0]
     assert rewards.tolist() == [[0.95, 0.95, 0.95]] * 8
 
 
 def test_outlier_rate_matches_probability():
     env = builtin_env("outlier-prone", m=2, seed=1, noise_scale=0.0, outlier_prob=0.02)
-    rewards = rollout(env, [0, 1, 0, 1, 0], 0, k_hat=50_000, seed=6)
+    rewards = rollout(env, [[0, 1, 0, 1, 0]], [6], k_hat=50_000)[0]
     hits = int(np.all(rewards == 0.95, axis=1).sum())
     rate = hits / 50_000
     assert abs(rate - 0.02) < 3.0 * np.sqrt(0.02 * 0.98 / 50_000)
@@ -222,14 +222,14 @@ def test_outlier_rate_matches_probability():
 
 def test_arm_means_are_stable_and_bounded():
     env = builtin_env("gaussian-arms", m=3, seed=0, noise_scale=0.0)
-    a = rollout(env, [0, 1, 2, 3, 4], 0, k_hat=3, seed=7)
+    a = rollout(env, [[0, 1, 2, 3, 4]], [7], k_hat=3)[0]
     assert np.array_equal(a, np.tile(a[0], (3, 1)))
     # Frozen regression value for the platform-stable hash construction.
     assert a[0].tolist() == pytest.approx(
         [0.18563859242380432, 0.10951141452598451, 0.25718158325095924], abs=1e-15
     )
     env2 = builtin_env("gaussian-arms", m=2, seed=7, noise_scale=0.0)
-    b = rollout(env2, [5, 5, 5, 5, 5], 0, k_hat=1, seed=8)
+    b = rollout(env2, [[5, 5, 5, 5, 5]], [8], k_hat=1)[0]
     assert b[0].tolist() == pytest.approx(
         [0.3319981484679338, 0.364899692687594], abs=1e-15
     )
@@ -241,13 +241,13 @@ def test_arm_means_depend_on_tokens_and_seed():
     rng = np.random.default_rng(0)
     for _ in range(100):
         tokens = rng.integers(0, env.vocab_size, size=5)
-        means.add(tuple(rollout(env, tokens, 0, k_hat=1, seed=0)[0].tolist()))
+        means.add(tuple(rollout(env, [tokens], [0], k_hat=1)[0, 0].tolist()))
     # Hash quality: collisions across distinct sequences would repeat means.
     assert len(means) >= 95
     other = builtin_env("gaussian-arms", m=2, seed=1, noise_scale=0.0)
     assert not np.array_equal(
-        rollout(env, [0, 1, 2, 3, 4], 0, 1, 0)[0],
-        rollout(other, [0, 1, 2, 3, 4], 0, 1, 0)[0],
+        rollout(env, [[0, 1, 2, 3, 4]], [0], 1)[0, 0],
+        rollout(other, [[0, 1, 2, 3, 4]], [0], 1)[0, 0],
     )
 
 
@@ -263,7 +263,7 @@ def reference_arm_mean(env, tokens):
 def test_batched_arm_means_equal_per_prompt_reference_bitwise(m, seed):
     env = builtin_env("gaussian-arms", m=m, seed=seed, noise_scale=0.0)
     tokens = np.random.default_rng(m).integers(0, env.vocab_size, size=(8, 5))
-    batch = rollout(env, tokens, 0, 2, list(range(8)))
+    batch = rollout(env, tokens, list(range(8)), 2)
     for row, rewards in zip(tokens.tolist(), batch):
         mean = np.clip(reference_arm_mean(env, row), 0.0, 1.0)
         assert np.array_equal(rewards, np.tile(mean, (2, 1)))
@@ -276,7 +276,7 @@ def test_arm_objectives_negatively_correlated(m):
     means = []
     for _ in range(3000):
         tokens = rng.integers(0, env.vocab_size, size=5)
-        means.append(rollout(env, tokens, 0, k_hat=1, seed=0)[0])
+        means.append(rollout(env, [tokens], [0], k_hat=1)[0, 0])
     corr = np.corrcoef(np.stack(means).T)
     off_diagonal = corr[~np.eye(m, dtype=bool)]
     assert off_diagonal.max() < 0.0

@@ -36,35 +36,40 @@ def loop_product(batch):
 
 
 def test_average_examples():
-    out = aggregate_average([[0.5, 0.5]])
-    assert type(out) is float
-    assert out == 0.5
+    out = aggregate_average([[[0.5, 0.5]]])
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64
+    assert out.tolist() == [0.5]
 
-    assert aggregate_average([[0.5, 0.5], [1.0, 0.0]]) == 0.5
-    assert aggregate_average([[1.0, 1.0, 1.0]]) == 1.0
+    assert aggregate_average([[[0.5, 0.5], [1.0, 0.0]]]).tolist() == [0.5]
+    assert aggregate_average([[[1.0, 1.0, 1.0]]]).tolist() == [1.0]
+    assert aggregate_average([[[0.5, 0.5], [1.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]]).tolist() == [0.5, 1.0]
 
 
 def test_product_examples():
-    out = aggregate_product([[0.5, 0.5], [1.0, 0.0]])
-    assert type(out) is float
-    assert out == 0.125
+    out = aggregate_product([[[0.5, 0.5], [1.0, 0.0]]])
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64
+    assert out.tolist() == [0.125]
 
-    assert aggregate_product([[1.0, 1.0]]) == 1.0
-    assert aggregate_product([[0.6, 0.3]]) == pytest.approx(0.18, abs=1e-15)
+    assert aggregate_product([[[1.0, 1.0]]]).tolist() == [1.0]
+    assert aggregate_product([[[0.6, 0.3]]])[0] == pytest.approx(0.18, abs=1e-15)
 
 
 def test_hvi_examples():
-    out = aggregate_hvi([[0.6, 0.3], [0.2, 0.8]], ref=[0.0, 0.0])
-    assert type(out) is float
-    assert out == pytest.approx(0.28, abs=1e-12)
+    out = aggregate_hvi([[[0.6, 0.3], [0.2, 0.8]]], ref=[0.0, 0.0])
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64
+    assert out.shape == (1,)
+    assert out[0] == pytest.approx(0.28, abs=1e-12)
 
-    assert aggregate_hvi([[0.6, 0.3]], ref=[0.0, 0.0]) == pytest.approx(0.18, abs=1e-12)
+    assert aggregate_hvi([[[0.6, 0.3]]], ref=[0.0, 0.0])[0] == pytest.approx(0.18, abs=1e-12)
 
 
 def test_hvi_dominant_outlier():
     # One large point swamps the volume of a cloud near the origin.
     batch = [[0.1, 0.12], [0.11, 0.1], [0.9, 0.9], [0.08, 0.09]]
-    assert aggregate_hvi(batch, ref=[0.0, 0.0]) >= 0.81
+    assert aggregate_hvi([batch], ref=[0.0, 0.0])[0] >= 0.81
 
 
 def test_evaluation_metrics_example():
@@ -89,15 +94,19 @@ def test_empty_batch_rejected():
     for fn in (aggregate_average, aggregate_product):
         with pytest.raises(ValueError):
             fn([])
+        with pytest.raises(ValueError):
+            fn(np.zeros((1, 0, 2)))
     with pytest.raises(ValueError):
         aggregate_hvi([], ref=[0.0, 0.0])
+    with pytest.raises(ValueError):
+        aggregate_hvi(np.zeros((1, 0, 2)), ref=[0.0, 0.0])
     with pytest.raises(ValueError):
         evaluation_metrics([], ref=[0.0, 0.0])
 
 
 def test_product_rejects_negative_rewards():
     with pytest.raises(ValueError):
-        aggregate_product([[0.5, -0.1]])
+        aggregate_product([[[0.5, -0.1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +117,8 @@ def test_product_rejects_negative_rewards():
 @settings(max_examples=50, deadline=None)
 def test_average_and_product_match_loop_oracle(seed, n, m):
     batch = random_batch(seed, n, m)
-    assert aggregate_average(batch) == pytest.approx(loop_average(batch.tolist()), abs=1e-12)
-    assert aggregate_product(batch) == pytest.approx(loop_product(batch.tolist()), abs=1e-12)
+    assert aggregate_average(batch[None])[0] == pytest.approx(loop_average(batch.tolist()), abs=1e-12)
+    assert aggregate_product(batch[None])[0] == pytest.approx(loop_product(batch.tolist()), abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(1, 4))
@@ -117,10 +126,11 @@ def test_average_and_product_match_loop_oracle(seed, n, m):
 def test_aggregators_are_permutation_invariant(seed, n, m):
     batch = random_batch(seed, n, m)
     perm = np.random.default_rng(seed + 1).permutation(n)
-    assert aggregate_average(batch[perm]) == pytest.approx(aggregate_average(batch), abs=1e-12)
-    assert aggregate_product(batch[perm]) == pytest.approx(aggregate_product(batch), abs=1e-12)
-    assert aggregate_hvi(batch[perm], np.zeros(m)) == pytest.approx(
-        aggregate_hvi(batch, np.zeros(m)), abs=1e-12
+    shuffled = batch[perm][None]
+    assert aggregate_average(shuffled)[0] == pytest.approx(aggregate_average(batch[None])[0], abs=1e-12)
+    assert aggregate_product(shuffled)[0] == pytest.approx(aggregate_product(batch[None])[0], abs=1e-12)
+    assert aggregate_hvi(shuffled, np.zeros(m))[0] == pytest.approx(
+        aggregate_hvi(batch[None], np.zeros(m))[0], abs=1e-12
     )
 
 
@@ -133,10 +143,13 @@ def test_stacked_batches_equal_per_batch_calls(seed, k, n, m):
         out = fn(stack)
         assert out.shape == (k,)
         assert out.dtype == np.float64
-        assert out.tolist() == [fn(batch) for batch in stack]
+        assert out.tolist() == [fn(batch[None])[0] for batch in stack]
 
 
 def test_stacked_batch_errors():
+    for fn in (aggregate_average, aggregate_product, lambda b: aggregate_hvi(b, [0.0, 0.0])):
+        with pytest.raises(ValueError, match="3-d"):
+            fn(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         aggregate_average(np.zeros((2, 0, 3)))
     with pytest.raises(ValueError):
@@ -160,8 +173,8 @@ def test_product_below_mean_of_means_on_unit_interval(seed, n, m):
 @settings(max_examples=50, deadline=None)
 def test_hvi_dominated_sample_no_op(seed, n, m):
     batch = random_batch(seed, n, m)
-    out = aggregate_hvi(batch, np.zeros(m))
+    out = aggregate_hvi(batch[None], np.zeros(m))[0]
     # A sample dominated by an existing one never moves the HVI scalar.
     dominated = batch[0] * 0.5
     grown = np.vstack([batch, dominated])
-    assert aggregate_hvi(grown, np.zeros(m)) == pytest.approx(out, abs=1e-12)
+    assert aggregate_hvi(grown[None], np.zeros(m))[0] == pytest.approx(out, abs=1e-12)

@@ -279,22 +279,25 @@ def test_mgda_never_calls_aggregators(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["product", "mgda"])
-def test_one_rollout_call_per_step_and_eval_input(monkeypatch, method):
+def test_one_rollout_call_per_step_and_evaluation(monkeypatch, method):
     shapes = []
     original = runner.rollout
 
-    def wrapper(env, tokens, input_index, k_hat, seed):
-        out = original(env, tokens, input_index, k_hat, seed)
+    def wrapper(env, tokens, seeds, k_hat):
+        out = original(env, tokens, seeds, k_hat)
         shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(runner, "rollout", wrapper)
-    cfg = tiny_config(method=method, steps=6, eval_every=3)
+    # 16 eval samples per input, so eval calls differ in shape from step calls.
+    cfg = tiny_config(method=method, steps=6, eval_every=3, eval_total_samples=64)
     assert not train(cfg).aborts
     n_evals = 6 // 3 + 1
     n_inputs = cfg.env.inputs.shape[0]
-    assert len(shapes) == 6 + n_evals * n_inputs
+    k_hat_eval = cfg.eval_total_samples // n_inputs
+    assert len(shapes) == 6 + n_evals
     assert shapes.count((cfg.k, cfg.k_hat, cfg.env.m)) == 6
+    assert shapes.count((n_inputs, k_hat_eval, cfg.env.m)) == n_evals
 
 
 @pytest.mark.parametrize("method", ["product", "mgda"])
