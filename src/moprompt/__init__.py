@@ -6,7 +6,7 @@ expected product of rewards, hypervolume improvement, and multiple
 gradient descent on the per-objective losses.
 """
 
-from .envs import EnvSpec, builtin_env, rollout
+from .envs import EnvSpec, builtin_env, rollout, rollout_draws
 from .geometry import hypervolume, pareto_front
 from .mgda import DescentResult, min_norm_point
 from .policy import (
@@ -45,6 +45,7 @@ __all__ = [
     "EnvSpec",
     "builtin_env",
     "rollout",
+    "rollout_draws",
     "hypervolume",
     "pareto_front",
     "DescentResult",

@@ -21,6 +21,9 @@ scores per generated output, with known Pareto structure:
 Rewards are always the latent clamped to [0, 1] componentwise. One
 `rollout` call scores k prompts, for example all of a training step's: a
 (k, T) token array and k seeds in, the (k, k_hat, m) reward array out.
+The noise and outlier draws depend on the seeds alone, not on the tokens,
+so `rollout_draws` can draw them for many steps at once, a (steps, k)
+seed array in, and `rollout` then takes one step's slice of them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
+from numpy.random import Generator
 
 from .seeding import (
     ROLE_ARMS,
@@ -39,10 +42,11 @@ from .seeding import (
     ROLE_OUTLIER,
     derive_seed,
     derive_seeds,
+    draw_streams,
     unit_floats,
 )
 
-__all__ = ["EnvSpec", "ENV_NAMES", "builtin_env", "rollout"]
+__all__ = ["EnvSpec", "ENV_NAMES", "builtin_env", "rollout", "rollout_draws"]
 
 ENV_NAMES = ("tug-of-war", "gaussian-arms", "outlier-prone")
 
@@ -72,6 +76,12 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_outlier_prob(value) -> None:
+    check_finite_reals(ValueError, outlier_prob=value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("outlier_prob must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """A fully determined environment: reward map plus fixed policy inputs."""
@@ -99,11 +109,10 @@ class EnvSpec:
             raise ValueError("prompt_length must be positive")
         if self.inputs.ndim != 2 or self.inputs.shape[0] == 0:
             raise ValueError("inputs must be a nonempty (n_inputs, context_dim) array")
-        check_finite_reals(ValueError, noise_scale=self.noise_scale, outlier_prob=self.outlier_prob)
+        check_finite_reals(ValueError, noise_scale=self.noise_scale)
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be nonnegative")
-        if not 0.0 <= self.outlier_prob <= 1.0:
-            raise ValueError("outlier_prob must lie in [0, 1]")
+        _check_outlier_prob(self.outlier_prob)
 
     @property
     def context_dim(self) -> int:
@@ -124,12 +133,17 @@ def builtin_env(
 ) -> EnvSpec:
     """Construct one of the named environments with seeded fixed inputs.
 
+    Only outlier-prone uses `outlier_prob`; the others set it to 0.0, after
+    it is validated, so a malformed value fails everywhere.
+
     Raises:
-        ValueError: for an unknown name or invalid dimensions.
+        ValueError: for an unknown name, invalid dimensions or an invalid
+            outlier_prob.
     """
     if name not in ENV_NAMES:
         raise ValueError(f"unknown environment {name!r}, expected one of {ENV_NAMES}")
     _check_integers(n_inputs=n_inputs, context_dim=context_dim)
+    _check_outlier_prob(outlier_prob)
     raw = unit_floats(derive_seed(seed, ROLE_INPUTS), n_inputs * context_dim)
     inputs = 2.0 * np.array(raw).reshape(n_inputs, context_dim) - 1.0
     return EnvSpec(
@@ -165,7 +179,32 @@ def _arm_means(env: EnvSpec, rows: np.ndarray) -> np.ndarray:
     return means
 
 
-def rollout(env: EnvSpec, tokens, seeds, k_hat: int) -> np.ndarray:
+def rollout_draws(env: EnvSpec, seeds, k_hat: int):
+    """The token-independent randomness of rollouts, for any array of seeds.
+
+    Returns (noise, outliers): the seeds.shape + (k_hat, m) standard normal
+    noise, from the stream derive_seed(s, ROLE_NOISE) of each seed s, and on
+    outlier-prone the seeds.shape + (k_hat,) boolean mask of the samples
+    replaced by the outlier, from the stream derive_seed(s, ROLE_OUTLIER);
+    elsewhere outliers is None. A seed's draws do not depend on the other
+    seeds, so a (steps, k) array gives every step what a one-step call
+    gives it.
+
+    `seeds` holds integers in [0, 2**64).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+
+    def streams(role):
+        return derive_seeds((), np.stack([seeds, np.full_like(seeds, role)], axis=-1))
+
+    noise = draw_streams(streams(ROLE_NOISE), Generator.standard_normal, (k_hat, env.m))
+    outliers = None
+    if env.name == "outlier-prone":
+        outliers = draw_streams(streams(ROLE_OUTLIER), Generator.random, (k_hat,)) < env.outlier_prob
+    return noise, outliers
+
+
+def rollout(env: EnvSpec, tokens, seeds, k_hat: int, draws=None) -> np.ndarray:
     """Draw the (k, k_hat, m) float64 reward batches of k prompts.
 
     `tokens` is a (k, T) array with one seed per row. Row j depends only
@@ -174,32 +213,36 @@ def rollout(env: EnvSpec, tokens, seeds, k_hat: int) -> np.ndarray:
     from the seed, so setting outlier_prob to zero reproduces the noise
     stream exactly.
 
+    `draws`, when given, is the (noise, outliers) pair `rollout_draws`
+    returns for the k seeds, for example one step's slice of a block of
+    steps; `seeds` is then ignored and may be None. Otherwise `rollout`
+    draws them from `seeds`.
+
     Raises:
-        ValueError: for bad k_hat, not one seed per row, or prompts that do
-            not match the environment's token space.
+        ValueError: for bad k_hat, not one seed or draw per row, or prompts
+            that do not match the environment's token space.
     """
     rows = np.asarray(tokens, dtype=np.int64)
-    seeds = list(seeds)
     if k_hat <= 0:
         raise ValueError("k_hat must be positive")
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != env.prompt_length:
         raise ValueError(f"tokens must be a nonempty (k, {env.prompt_length}) array, got {rows.shape}")
-    if len(seeds) != rows.shape[0]:
-        raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} prompts")
     if rows.min() < 0 or rows.max() >= env.vocab_size:
         raise ValueError("token id out of range")
+    if draws is None:
+        seeds = list(seeds)
+        if len(seeds) != rows.shape[0]:
+            raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} prompts")
+        draws = rollout_draws(env, seeds, k_hat)
+    noise, outliers = draws
+    if noise.shape != (rows.shape[0], k_hat, env.m):
+        raise ValueError(f"noise of shape {noise.shape} for {rows.shape[0]} prompts of {k_hat} samples")
 
     if env.name == "gaussian-arms":
         base = _arm_means(env, rows)
     else:
         base = _vote_fractions(env, rows)
-    # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.
-    noise = np.empty((rows.shape[0], k_hat, env.m))
-    for j, s in enumerate(seeds):
-        Generator(PCG64(derive_seed(s, ROLE_NOISE))).standard_normal(out=noise[j])
     latents = base[:, None, :] + env.noise_scale * noise
-    if env.name == "outlier-prone":
-        for j, s in enumerate(seeds):
-            draws = Generator(PCG64(derive_seed(s, ROLE_OUTLIER))).random(k_hat)
-            latents[j, draws < env.outlier_prob] = OUTLIER_LATENT
+    if outliers is not None:
+        latents[outliers] = OUTLIER_LATENT
     return np.clip(latents, 0.0, 1.0)

@@ -4,7 +4,9 @@ The policy scores tokens position by position with a two-layer tanh MLP on
 top of a fixed per-input context embedding: the input at position t is the
 concatenation of the context vector, a one-hot position indicator, and the
 one-hot of the previously chosen token (zeros at t = 0). Sampling draws
-tokens autoregressively from softmax(logits / temperature).
+tokens autoregressively from softmax(logits / temperature), deciding
+position t of all k prompts with row t of a (T, k) array of uniforms: a
+caller's block of draws, or the stream of a seed.
 
 For one context the input is fixed by (t, previous token), so the policy
 is evaluated once per (parameters, context), as a PolicyTable over every
@@ -208,8 +210,12 @@ def _check_context(cfg: PolicyConfig, context) -> np.ndarray:
     return ctx
 
 
-def sample_prompts(params: PolicyParams, context, k: int, seed: int):
+def sample_prompts(params: PolicyParams, context, k: int, seed: int | None = None, uniforms=None):
     """Draw k prompts autoregressively for one context; deterministic per seed.
+
+    The draws are a (T, k) array of uniforms, row t deciding every
+    prompt's token t: `uniforms` when given, such as one step's slice of a
+    block the caller drew at once, or else Generator(PCG64(seed)).random((T, k)).
 
     Returns:
         (tokens, table, log_probs): the (k, T) int64 token ids, the
@@ -219,21 +225,28 @@ def sample_prompts(params: PolicyParams, context, k: int, seed: int):
         table.logits[table.rows(tokens)][j, t].
 
     Raises:
-        ValueError: if k is not positive or the context dimension is wrong.
+        ValueError: if k is not positive, the context dimension is wrong,
+            or not exactly one of seed and uniforms is given, or uniforms
+            is not (T, k).
     """
     cfg = params.cfg
     ctx = _check_context(cfg, context)
     if k <= 0:
         raise ValueError("k must be positive")
+    if (seed is None) == (uniforms is None):
+        raise ValueError("give exactly one of seed and uniforms")
+    if uniforms is None:
+        # Row t is the stream a per-position rng.random(k) would draw;
+        # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.
+        uniforms = Generator(PCG64(seed)).random((cfg.prompt_length, k))
+    elif np.shape(uniforms) != (cfg.prompt_length, k):
+        raise ValueError(f"uniforms must be ({cfg.prompt_length}, {k}), got {np.shape(uniforms)}")
     table = _build_table(params, ctx)
     v = cfg.vocab_size
-    # Row t is the stream a per-position rng.random(k) would draw;
-    # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.
-    draws = Generator(PCG64(seed)).random((cfg.prompt_length, k))
     tokens = np.empty((k, cfg.prompt_length), dtype=np.int64)
     log_probs = np.zeros(k)
     rows = np.zeros(k, dtype=np.int64)
-    for t, draw in enumerate(draws):
+    for t, draw in enumerate(uniforms):
         if t > 0:
             rows = tokens[:, t - 1] + t * v
         chosen = np.minimum((draw[:, None] >= table.cum[rows]).sum(axis=1), v - 1)

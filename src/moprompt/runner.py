@@ -18,8 +18,13 @@ differ only in how the reward array becomes a training signal:
 
 Evaluation runs on a dedicated RNG stream with no step component, so two
 evaluations of identical parameters see identical held-out batches. All
-randomness derives from (seed, role, context) keys; nothing reads global
-RNG state.
+randomness derives from (seed, step, role) keys; nothing reads global RNG
+state. No draw depends on tokens or parameters, so the step loop draws
+each eval interval's sampling uniforms, noise and outlier decisions as one
+block before the interval's steps run, and hands each step its slice:
+`sample_prompts` takes its uniforms and `rollout` its draws. A block's
+seeds are derived as uint64 arrays and its streams built by
+`draw_streams`, bit-identical to drawing step by step.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import Generator
 
-from .envs import EnvSpec, builtin_env, check_finite_reals, is_integer, rollout
+from .envs import EnvSpec, builtin_env, check_finite_reals, is_integer, rollout, rollout_draws
 from .mgda import min_norm_point
 from .policy import (
     PolicyConfig,
@@ -56,6 +62,7 @@ from .seeding import (
     ROLE_ROLLOUT,
     derive_seed,
     derive_seeds,
+    draw_streams,
 )
 
 __all__ = [
@@ -292,23 +299,60 @@ def _prompt_scalars(method: str, batch: np.ndarray, m: int) -> np.ndarray:
     return aggregate_average(batch) if method == "average" else aggregate_product(batch)
 
 
-def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int):
-    """Held-out metrics: one fresh prompt per input on the eval RNG stream."""
-    env = cfg.env
-    n_inputs = env.inputs.shape[0]
+def _draw(env: EnvSpec, prompt_seeds, rollout_seeds, k: int, k_hat: int):
+    """The (uniforms, noise, outliers) draws of B policy calls.
+
+    prompt_seeds is (B,) and gives the (B, T, k) uniforms `sample_prompts`
+    would draw from each; rollout_seeds gives the noise and outliers that
+    `rollout_draws` returns for it.
+    """
+    uniforms = draw_streams(prompt_seeds, Generator.random, (env.prompt_length, k))
+    return (uniforms, *rollout_draws(env, rollout_seeds, k_hat))
+
+
+def _block_draws(cfg: TrainConfig, seed: int, steps: np.ndarray):
+    """The draws of a block of training steps, one leading entry per step.
+
+    Randomness is keyed by (seed, step, role), never by tokens or
+    parameters, so a block is drawn before its steps run, each step's
+    slice bit-identical to the draws of that step alone.
+    """
+    grid = np.stack(np.meshgrid(steps, np.arange(cfg.k), indexing="ij"), axis=-1)
+    prompt_seeds = derive_seeds((seed, ROLE_PROMPTS), steps[:, None])
+    return _draw(cfg.env, prompt_seeds, derive_seeds((seed, ROLE_ROLLOUT), grid), cfg.k, cfg.k_hat)
+
+
+def _eval_draws(cfg: TrainConfig, seed: int):
+    """The draws of a seed's evaluations: one prompt per input.
+
+    The eval streams have no step component, so they are drawn once and
+    every evaluation of the seed sees the same held-out draws.
+    """
+    n_inputs = cfg.env.inputs.shape[0]
     k_hat_eval = max(1, cfg.eval_total_samples // n_inputs)
+    inputs = np.arange(n_inputs)[:, None]
+    prompt_seeds = derive_seeds((seed, ROLE_EVAL), np.hstack([inputs, np.zeros_like(inputs)]))
+    rollout_seeds = derive_seeds((seed, ROLE_EVAL), np.hstack([inputs, np.ones_like(inputs)]))
+    return _draw(cfg.env, prompt_seeds, rollout_seeds, 1, k_hat_eval)
+
+
+def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int, eval_draws=None):
+    """Held-out metrics: one fresh prompt per input, on the seed's eval
+    draws, which a caller that evaluates more than once passes in."""
+    env = cfg.env
+    if eval_draws is None:
+        eval_draws = _eval_draws(cfg, seed)
+    uniforms, noise, outliers = eval_draws
     # Each input has its own context and so its own policy table.
     rows = [
-        sample_prompts(params, env.inputs[idx], k=1, seed=derive_seed(seed, ROLE_EVAL, idx, 0))[0]
-        for idx in range(n_inputs)
+        sample_prompts(params, context, k=1, uniforms=u)[0] for context, u in zip(env.inputs, uniforms)
     ]
-    eval_seeds = derive_seeds((seed, ROLE_EVAL), [(idx, 1) for idx in range(n_inputs)])
-    batch = rollout(env, np.vstack(rows), eval_seeds, k_hat_eval)
+    batch = rollout(env, np.vstack(rows), None, noise.shape[1], draws=(noise, outliers))
     return evaluation_metrics(batch.reshape(-1, env.m), np.zeros(env.m))
 
 
-def _record(cfg, step, seed, params, norm_sq) -> MetricsRecord:
-    metrics = _evaluate(cfg, params, seed)
+def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
+    metrics = _evaluate(cfg, params, seed, eval_draws)
     return MetricsRecord(
         step=step,
         seed=seed,
@@ -330,12 +374,19 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
     norm_sq: float | None = None
 
     params = PolicyParams(pcfg, flat)
-    result.records.append(_record(cfg, 0, seed, params, norm_sq))
+    eval_draws = _eval_draws(cfg, seed)
+    result.records.append(_record(cfg, 0, seed, params, norm_sq, eval_draws))
     for step in range(1, cfg.steps + 1):
+        b = (step - 1) % cfg.eval_every
+        if b == 0:
+            # One block of draws per eval interval: its steps up to the next
+            # evaluation or the end of the run.
+            block = np.arange(step, min(step + cfg.eval_every, cfg.steps + 1))
+            uniforms, noise, outliers = _block_draws(cfg, seed, block)
         context = env.inputs[(step - 1) % n_inputs]
-        tokens, table, _ = sample_prompts(params, context, cfg.k, derive_seed(seed, ROLE_PROMPTS, step))
-        rollout_seeds = derive_seeds((seed, ROLE_ROLLOUT, step), [(j,) for j in range(cfg.k)])
-        batch = rollout(env, tokens, rollout_seeds, cfg.k_hat)
+        tokens, table, _ = sample_prompts(params, context, cfg.k, uniforms=uniforms[b])
+        draws = (noise[b], None if outliers is None else outliers[b])
+        batch = rollout(env, tokens, None, cfg.k_hat, draws=draws)
 
         if cfg.method == "mgda":
             losses, grads = per_objective_loss_grads(table, tokens, batch.mean(axis=1))
@@ -363,7 +414,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
         flat = adam.update(flat, grad)
         params = PolicyParams(pcfg, flat)
         if step % cfg.eval_every == 0:
-            result.records.append(_record(cfg, step, seed, params, norm_sq))
+            result.records.append(_record(cfg, step, seed, params, norm_sq, eval_draws))
     return params
 
 

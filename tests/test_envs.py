@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moprompt.envs import ENV_NAMES, OUTLIER_LATENT, EnvSpec, builtin_env, rollout
-from moprompt.seeding import ROLE_ARMS, ROLE_NOISE, derive_seed, unit_floats
+from numpy.random import PCG64, Generator
+
+from moprompt.envs import ENV_NAMES, OUTLIER_LATENT, EnvSpec, builtin_env, rollout, rollout_draws
+from moprompt.runner import ConfigError, config_from_dict
+from moprompt.seeding import ROLE_ARMS, ROLE_NOISE, ROLE_OUTLIER, derive_seed, unit_floats
 
 
 def tug(m=2, noise=0.0, prompt_length=5, seed=0, **kw):
@@ -61,6 +64,16 @@ def test_outlier_prob_only_for_outlier_env():
     assert builtin_env("outlier-prone", m=2, seed=0).outlier_prob == 0.02
 
 
+@pytest.mark.parametrize("name", ["tug-of-war", "gaussian-arms"])
+@pytest.mark.parametrize("value", ["abc", math.nan, -3.0, True, 1.5], ids=["string", "nan", "negative", "bool", "above-one"])
+def test_outlier_prob_validated_where_it_is_unused(name, value):
+    with pytest.raises(ValueError, match="outlier_prob"):
+        builtin_env(name, m=2, seed=0, outlier_prob=value)
+    with pytest.raises(ConfigError, match="outlier_prob"):
+        config_from_dict({"env": {"name": name, "outlier_prob": value}})
+    assert builtin_env(name, m=2, seed=0, outlier_prob=0.3).outlier_prob == 0.0
+
+
 # ---------------------------------------------------------------------------
 # rollout basics
 
@@ -101,6 +114,34 @@ def test_batched_rollout_rows_equal_single_prompt_calls(name, m, k):
         assert np.array_equal(rewards, rollout(env, [row], [seed], 64)[0])
     if name == "outlier-prone":
         assert np.all(batch == OUTLIER_LATENT, axis=-1).any()
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_block_draws_equal_numpy_streams_and_per_step_rollouts(name):
+    env = builtin_env(name, m=3, seed=2, outlier_prob=0.3)
+    seeds = np.array([[5, 2**40 + 1, 7], [2**62, 0, 11]], dtype=np.uint64)
+    noise, outliers = rollout_draws(env, seeds, 16)
+    assert noise.shape == (2, 3, 16, 3)
+    assert (outliers is None) == (name != "outlier-prone")
+    tokens = np.arange(15).reshape(3, 5) % env.vocab_size
+    for b, row_seeds in enumerate(seeds.tolist()):
+        for j, s in enumerate(row_seeds):
+            expected = Generator(PCG64(derive_seed(s, ROLE_NOISE))).standard_normal((16, 3))
+            assert np.array_equal(noise[b, j], expected)
+            if outliers is not None:
+                mask = Generator(PCG64(derive_seed(s, ROLE_OUTLIER))).random(16) < 0.3
+                assert np.array_equal(outliers[b, j], mask)
+        step = (noise[b], None if outliers is None else outliers[b])
+        assert np.array_equal(rollout(env, tokens, None, 16, draws=step), rollout(env, tokens, row_seeds, 16))
+
+
+def test_rollout_rejects_draws_of_another_shape():
+    env = tug(m=2)
+    noise, outliers = rollout_draws(env, [1, 2], 8)
+    with pytest.raises(ValueError, match="noise"):
+        rollout(env, np.zeros((3, 5), dtype=np.int64), None, 8, draws=(noise, outliers))
+    with pytest.raises(ValueError, match="noise"):
+        rollout(env, np.zeros((2, 5), dtype=np.int64), None, 4, draws=(noise, outliers))
 
 
 def test_batched_rollout_rejects_bad_batches():

@@ -196,6 +196,22 @@ def test_sampling_is_deterministic_per_seed():
     assert any(not np.array_equal(x, y) for x, y in zip(a_tokens, c_tokens))
 
 
+def test_sampling_from_given_uniforms_equals_seeded_sampling():
+    params = init_policy(small_cfg(), seed=0)
+    ctx = np.array([0.3, -0.2])
+    uniforms = np.random.default_rng(11).random((2, 4))
+    a_tokens, _, a_log_probs = sample_prompts(params, ctx, k=4, uniforms=uniforms)
+    b_tokens, _, b_log_probs = sample_prompts(params, ctx, k=4, seed=11)
+    assert np.array_equal(a_tokens, b_tokens)
+    assert np.array_equal(a_log_probs, b_log_probs)
+    with pytest.raises(ValueError, match="exactly one"):
+        sample_prompts(params, ctx, k=4)
+    with pytest.raises(ValueError, match="exactly one"):
+        sample_prompts(params, ctx, k=4, seed=11, uniforms=uniforms)
+    with pytest.raises(ValueError, match="uniforms"):
+        sample_prompts(params, ctx, k=4, uniforms=uniforms.T)
+
+
 def per_position_sampler(params, context, k, seed):
     """The sampler as one rng.random(k) draw per position, kept as a reference."""
     cfg = params.cfg

@@ -1,16 +1,22 @@
-"""Seed derivation: the shared-prefix form equals the one-call form, and
-the streams keep their recorded values."""
+"""Seed derivation: the shared-prefix and array forms equal the one-call
+form, the streams keep their recorded values, and the SeedSequence replay
+draws numpy's own streams."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 
+from moprompt import seeding
 from moprompt.seeding import (
     ROLE_ARMS,
+    ROLE_NOISE,
     ROLE_PROMPTS,
     ROLE_ROLLOUT,
     derive_seed,
     derive_seeds,
+    draw_streams,
     unit_floats,
 )
 
@@ -67,3 +73,86 @@ def test_unit_floats_literals():
         0.7002935135929024,
         0.8924068459997183,
     ]
+
+
+# ---------------------------------------------------------------------------
+# array form
+
+
+def test_derive_seeds_array_form_equals_derive_seed_on_wide_grids():
+    rng = np.random.default_rng(53)
+    # Every step and prompt index at or above 2**53, where a float64 can no
+    # longer hold each integer, and up to the top of the uint64 range.
+    steps = rng.integers(2**53, 2**64 - 1, size=6, dtype=np.uint64, endpoint=True)
+    steps[0] = 2**53
+    steps[-1] = 2**64 - 1
+    index = np.array([0, 1, 2**53 + 1, 2**63 + 7], dtype=np.uint64)
+    grid = np.stack(np.meshgrid(steps, index, indexing="ij"), axis=-1)
+    seeds = derive_seeds((2**60 + 3, ROLE_ROLLOUT), grid)
+    assert seeds.dtype == np.uint64 and seeds.shape == (6, 4)
+    for (i, j), s in np.ndenumerate(seeds):
+        assert int(s) == derive_seed(2**60 + 3, ROLE_ROLLOUT, int(steps[i]), int(index[j]))
+    # The noise key of each of those seeds: a seed column and a role column.
+    keyed = np.stack([seeds, np.full_like(seeds, ROLE_NOISE)], axis=-1)
+    for (i, j), s in np.ndenumerate(derive_seeds((), keyed)):
+        assert int(s) == derive_seed(int(seeds[i, j]), ROLE_NOISE)
+
+
+def test_derive_seeds_array_form_wraps_negative_parts():
+    parts = np.array([[-1, 5], [-(2**63), 2**63 - 1], [0, -7]], dtype=np.int64)
+    assert derive_seeds((9,), parts).tolist() == [derive_seed(9, *map(int, row)) for row in parts]
+
+
+def test_derive_seeds_rejects_float_arrays():
+    # Stacking a uint64 column with an int64 one promotes both to float64,
+    # which rounds every seed above 2**53.
+    mixed = np.column_stack([np.array([2**60 + 1], dtype=np.uint64), np.array([ROLE_NOISE])])
+    assert mixed.dtype == np.float64
+    with pytest.raises(TypeError, match="integer"):
+        derive_seeds((), mixed)
+
+
+# ---------------------------------------------------------------------------
+# SeedSequence replay, with numpy's own SeedSequence as the oracle
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+def replay_seeds() -> np.ndarray:
+    rng = np.random.default_rng(19)
+    random = rng.integers(0, 2**63, size=2000, dtype=np.uint64)
+    return np.concatenate([random, np.array(EDGE_SEEDS, dtype=np.uint64)])
+
+
+def test_draw_streams_equal_numpy_seeded_streams():
+    seeds = replay_seeds()
+    draws = draw_streams(seeds, Generator.random, (3,))
+    assert draws.shape == (seeds.shape[0], 3)
+    for s, row in zip(seeds.tolist(), draws):
+        assert np.array_equal(row, Generator(PCG64(s)).random(3)), s
+
+
+def test_draw_streams_keep_the_seed_shape_and_stream_order():
+    seeds = replay_seeds()[-12:].reshape(3, 4)
+    draws = draw_streams(seeds, Generator.standard_normal, (5, 2))
+    assert draws.shape == (3, 4, 5, 2)
+    for (i, j), s in np.ndenumerate(seeds):
+        assert np.array_equal(draws[i, j], Generator(PCG64(int(s))).standard_normal((5, 2)))
+    assert draw_streams(np.zeros(0, dtype=np.uint64), Generator.random, (2,)).shape == (0, 2)
+
+
+def test_replay_state_words_equal_seed_sequence():
+    seeds = replay_seeds()
+    words = seeding._pcg64_words(seeds)
+    expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds.tolist()]
+    assert np.array_equal(words, np.array(expected))
+
+
+def test_seeding_has_no_mutable_module_state():
+    for name, value in vars(seeding).items():
+        if name.startswith("__"):
+            continue
+        assert not isinstance(value, (list, dict, set, bytearray)), name
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
