@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(p_train, "directory for metrics.csv and one checkpoint_<seed>.txt per seed")
 
     p_compare = sub.add_parser("compare", help="train all four methods and tabulate")
-    p_compare.add_argument("--method", help=argparse.SUPPRESS)
     # The four methods' checkpoint_<seed>.txt would collide, so none are written.
     add_run_flags(p_compare, "directory for metrics.csv and table1_analog.csv (no checkpoints)")
 

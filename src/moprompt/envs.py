@@ -20,10 +20,10 @@ scores per generated output, with known Pareto structure:
 
 Rewards are always the latent clamped to [0, 1] componentwise. One
 `rollout` call scores k prompts, for example all of a training step's: a
-(k, T) token array and k seeds in, the (k, k_hat, m) reward array out.
-The noise and outlier draws depend on the seeds alone, not on the tokens,
-so `rollout_draws` can draw them for many steps at once, a (steps, k)
-seed array in, and `rollout` then takes one step's slice of them.
+(k, T) token array and its draws in, the (k, k_hat, m) reward array out.
+The draws depend on one seed per prompt, not on the tokens, so
+`rollout_draws` draws them for any seed array, such as a (steps, k)
+block, and `rollout` takes one step's slice of them.
 """
 
 from __future__ import annotations
@@ -190,9 +190,20 @@ def rollout_draws(env: EnvSpec, seeds, k_hat: int):
     seeds, so a (steps, k) array gives every step what a one-step call
     gives it.
 
-    `seeds` holds integers in [0, 2**64).
+    Raises:
+        TypeError: for a seed that is not an integer, bools included.
+        ValueError: for a seed outside [0, 2**64).
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    if not isinstance(seeds, np.ndarray):
+        # An object array keeps Python ints exact; numpy makes [-1, 2**63] floats.
+        seeds = np.array(seeds, dtype=object)
+        if not all(map(is_integer, seeds.flat)):
+            raise TypeError(f"seeds must be integers, got {seeds.tolist()!r}")
+    elif seeds.dtype.kind not in "iu":
+        raise TypeError(f"seeds must be integers, got dtype {seeds.dtype}")
+    if seeds.size and not 0 <= int(seeds.min()) <= int(seeds.max()) < 2**64:
+        raise ValueError("seeds must lie in [0, 2**64)")
+    seeds = seeds.astype(np.uint64)
 
     def streams(role):
         return derive_seeds((), np.stack([seeds, np.full_like(seeds, role)], axis=-1))
@@ -204,23 +215,19 @@ def rollout_draws(env: EnvSpec, seeds, k_hat: int):
     return noise, outliers
 
 
-def rollout(env: EnvSpec, tokens, seeds, k_hat: int, draws=None) -> np.ndarray:
+def rollout(env: EnvSpec, tokens, draws, k_hat: int) -> np.ndarray:
     """Draw the (k, k_hat, m) float64 reward batches of k prompts.
 
-    `tokens` is a (k, T) array with one seed per row. Row j depends only
-    on (env, tokens[j], seeds[j]), so it equals the one-row call on that
-    prompt. Noise and outlier replacement use disjoint RNG streams derived
-    from the seed, so setting outlier_prob to zero reproduces the noise
-    stream exactly.
-
-    `draws`, when given, is the (noise, outliers) pair `rollout_draws`
-    returns for the k seeds, for example one step's slice of a block of
-    steps; `seeds` is then ignored and may be None. Otherwise `rollout`
-    draws them from `seeds`.
+    `tokens` is a (k, T) array and `draws` the (noise, outliers) pair of
+    `rollout_draws` for one seed per prompt, or one step's slice of a
+    block of them. Row j depends only on tokens[j] and row j of the
+    draws, so it equals the one-row call on that prompt.
 
     Raises:
-        ValueError: for bad k_hat, not one seed or draw per row, or prompts
-            that do not match the environment's token space.
+        ValueError: for bad k_hat, prompts that do not match the
+            environment's token space, noise that is not (k, k_hat, m), or
+            outliers that are not a bool (k, k_hat) mask on outlier-prone
+            and None elsewhere.
     """
     rows = np.asarray(tokens, dtype=np.int64)
     if k_hat <= 0:
@@ -229,14 +236,15 @@ def rollout(env: EnvSpec, tokens, seeds, k_hat: int, draws=None) -> np.ndarray:
         raise ValueError(f"tokens must be a nonempty (k, {env.prompt_length}) array, got {rows.shape}")
     if rows.min() < 0 or rows.max() >= env.vocab_size:
         raise ValueError("token id out of range")
-    if draws is None:
-        seeds = list(seeds)
-        if len(seeds) != rows.shape[0]:
-            raise ValueError(f"{len(seeds)} seeds for {rows.shape[0]} prompts")
-        draws = rollout_draws(env, seeds, k_hat)
     noise, outliers = draws
-    if noise.shape != (rows.shape[0], k_hat, env.m):
-        raise ValueError(f"noise of shape {noise.shape} for {rows.shape[0]} prompts of {k_hat} samples")
+    k = rows.shape[0]
+    if noise.shape != (k, k_hat, env.m):
+        raise ValueError(f"noise of shape {noise.shape} for {k} prompts of {k_hat} samples")
+    if env.name != "outlier-prone" and outliers is not None:
+        raise ValueError(f"{env.name} has no outliers, got an outlier mask")
+    mask_ok = isinstance(outliers, np.ndarray) and outliers.dtype == bool and outliers.shape == (k, k_hat)
+    if env.name == "outlier-prone" and not mask_ok:
+        raise ValueError(f"outlier-prone needs a bool ({k}, {k_hat}) outlier mask")
 
     if env.name == "gaussian-arms":
         base = _arm_means(env, rows)

@@ -5,8 +5,8 @@ top of a fixed per-input context embedding: the input at position t is the
 concatenation of the context vector, a one-hot position indicator, and the
 one-hot of the previously chosen token (zeros at t = 0). Sampling draws
 tokens autoregressively from softmax(logits / temperature), deciding
-position t of all k prompts with row t of a (T, k) array of uniforms: a
-caller's block of draws, or the stream of a seed.
+position t of all k prompts with row t of a (T, k) array of uniforms that
+the caller draws, such as one step's slice of a block of steps.
 
 For one context the input is fixed by (t, previous token), so the policy
 is evaluated once per (parameters, context), as a PolicyTable over every
@@ -41,7 +41,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
 
 __all__ = [
     "PolicyConfig",
@@ -210,49 +209,35 @@ def _check_context(cfg: PolicyConfig, context) -> np.ndarray:
     return ctx
 
 
-def sample_prompts(params: PolicyParams, context, k: int, seed: int | None = None, uniforms=None):
-    """Draw k prompts autoregressively for one context; deterministic per seed.
-
-    The draws are a (T, k) array of uniforms, row t deciding every
-    prompt's token t: `uniforms` when given, such as one step's slice of a
-    block the caller drew at once, or else Generator(PCG64(seed)).random((T, k)).
+def sample_prompts(params: PolicyParams, context, uniforms):
+    """Draw k prompts autoregressively for one context, token t of every
+    prompt decided by row t of the (T, k) uniforms.
 
     Returns:
-        (tokens, table, log_probs): the (k, T) int64 token ids, the
-        context's PolicyTable, which the losses train from, and the (k,)
-        log probability of each prompt under the sampling distribution.
-        The logits token t of prompt j was drawn from are
-        table.logits[table.rows(tokens)][j, t].
+        (tokens, table): the (k, T) int64 token ids and the context's
+        PolicyTable, which the losses train from. Token t of prompt j was
+        drawn from row table.rows(tokens)[j, t], with that row's logits
+        and log_p.
 
     Raises:
-        ValueError: if k is not positive, the context dimension is wrong,
-            or not exactly one of seed and uniforms is given, or uniforms
-            is not (T, k).
+        ValueError: if the context dimension is wrong or uniforms is not
+            a (T, k) array with k >= 1.
     """
     cfg = params.cfg
     ctx = _check_context(cfg, context)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if (seed is None) == (uniforms is None):
-        raise ValueError("give exactly one of seed and uniforms")
-    if uniforms is None:
-        # Row t is the stream a per-position rng.random(k) would draw;
-        # Generator(PCG64(s)) is the stream of default_rng(s), without its dispatch.
-        uniforms = Generator(PCG64(seed)).random((cfg.prompt_length, k))
-    elif np.shape(uniforms) != (cfg.prompt_length, k):
-        raise ValueError(f"uniforms must be ({cfg.prompt_length}, {k}), got {np.shape(uniforms)}")
+    uniforms = np.asarray(uniforms)
+    if uniforms.ndim != 2 or uniforms.shape[0] != cfg.prompt_length or uniforms.shape[1] == 0:
+        raise ValueError(f"uniforms must be ({cfg.prompt_length}, k >= 1), got {uniforms.shape}")
+    k = uniforms.shape[1]
     table = _build_table(params, ctx)
     v = cfg.vocab_size
     tokens = np.empty((k, cfg.prompt_length), dtype=np.int64)
-    log_probs = np.zeros(k)
     rows = np.zeros(k, dtype=np.int64)
     for t, draw in enumerate(uniforms):
         if t > 0:
             rows = tokens[:, t - 1] + t * v
-        chosen = np.minimum((draw[:, None] >= table.cum[rows]).sum(axis=1), v - 1)
-        tokens[:, t] = chosen
-        log_probs += table.log_p[rows, chosen]
-    return tokens, table, log_probs
+        tokens[:, t] = np.minimum((draw[:, None] >= table.cum[rows]).sum(axis=1), v - 1)
+    return tokens, table
 
 
 def _check_tokens(cfg: PolicyConfig, tokens, n_rewards: int) -> np.ndarray:

@@ -300,12 +300,9 @@ def _prompt_scalars(method: str, batch: np.ndarray, m: int) -> np.ndarray:
 
 
 def _draw(env: EnvSpec, prompt_seeds, rollout_seeds, k: int, k_hat: int):
-    """The (uniforms, noise, outliers) draws of B policy calls.
-
-    prompt_seeds is (B,) and gives the (B, T, k) uniforms `sample_prompts`
-    would draw from each; rollout_seeds gives the noise and outliers that
-    `rollout_draws` returns for it.
-    """
+    """The (uniforms, noise, outliers) draws of B policy calls: for each of
+    the (B,) prompt_seeds s, default_rng(s).random((T, k)), and the
+    `rollout_draws` of rollout_seeds."""
     uniforms = draw_streams(prompt_seeds, Generator.random, (env.prompt_length, k))
     return (uniforms, *rollout_draws(env, rollout_seeds, k_hat))
 
@@ -336,23 +333,18 @@ def _eval_draws(cfg: TrainConfig, seed: int):
     return _draw(cfg.env, prompt_seeds, rollout_seeds, 1, k_hat_eval)
 
 
-def _evaluate(cfg: TrainConfig, params: PolicyParams, seed: int, eval_draws=None):
-    """Held-out metrics: one fresh prompt per input, on the seed's eval
-    draws, which a caller that evaluates more than once passes in."""
+def _evaluate(cfg: TrainConfig, params: PolicyParams, eval_draws):
+    """Held-out metrics: one fresh prompt per input, on a seed's `_eval_draws`."""
     env = cfg.env
-    if eval_draws is None:
-        eval_draws = _eval_draws(cfg, seed)
     uniforms, noise, outliers = eval_draws
     # Each input has its own context and so its own policy table.
-    rows = [
-        sample_prompts(params, context, k=1, uniforms=u)[0] for context, u in zip(env.inputs, uniforms)
-    ]
-    batch = rollout(env, np.vstack(rows), None, noise.shape[1], draws=(noise, outliers))
+    rows = [sample_prompts(params, context, u)[0] for context, u in zip(env.inputs, uniforms)]
+    batch = rollout(env, np.vstack(rows), (noise, outliers), noise.shape[1])
     return evaluation_metrics(batch.reshape(-1, env.m), np.zeros(env.m))
 
 
 def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
-    metrics = _evaluate(cfg, params, seed, eval_draws)
+    metrics = _evaluate(cfg, params, eval_draws)
     return MetricsRecord(
         step=step,
         seed=seed,
@@ -384,9 +376,8 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
             block = np.arange(step, min(step + cfg.eval_every, cfg.steps + 1))
             uniforms, noise, outliers = _block_draws(cfg, seed, block)
         context = env.inputs[(step - 1) % n_inputs]
-        tokens, table, _ = sample_prompts(params, context, cfg.k, uniforms=uniforms[b])
-        draws = (noise[b], None if outliers is None else outliers[b])
-        batch = rollout(env, tokens, None, cfg.k_hat, draws=draws)
+        tokens, table = sample_prompts(params, context, uniforms[b])
+        batch = rollout(env, tokens, (noise[b], None if outliers is None else outliers[b]), cfg.k_hat)
 
         if cfg.method == "mgda":
             losses, grads = per_objective_loss_grads(table, tokens, batch.mean(axis=1))

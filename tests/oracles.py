@@ -1,12 +1,37 @@
-"""Test oracles for `moprompt.geometry`, kept apart from the code they check.
+"""Test oracles and seeded helpers, kept apart from the code they check.
 
 `dominates` is the pairwise Pareto relation and `hypervolume_mc` a seeded
 Monte-Carlo hypervolume estimate. Neither shares code with the exact path.
+
+`sample_seeded` and `rollout_seeded` run one policy call on the draws of a
+seed: the (T, k) uniforms np.random.default_rng(seed).random((T, k)) for
+`sample_prompts`, and `rollout_draws` of one seed per prompt for
+`rollout`. `prompt_log_probs` reads each sampled prompt's log probability
+from its policy table.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from moprompt.envs import rollout, rollout_draws
+from moprompt.policy import sample_prompts
+
+
+def sample_seeded(params, context, k: int, seed: int):
+    """(tokens, table) of k prompts sampled on seed's (T, k) uniforms."""
+    uniforms = np.random.default_rng(seed).random((params.cfg.prompt_length, k))
+    return sample_prompts(params, context, uniforms)
+
+
+def rollout_seeded(env, tokens, seeds, k_hat: int) -> np.ndarray:
+    """The (k, k_hat, m) rewards of k prompts on the draws of their k seeds."""
+    return rollout(env, tokens, rollout_draws(env, seeds, k_hat), k_hat)
+
+
+def prompt_log_probs(table, tokens) -> np.ndarray:
+    """(k,) log probability of each (k, T) prompt under its sampling table."""
+    return table.log_p[table.rows(tokens), tokens].sum(axis=1)
 
 
 def dominates(a, b) -> bool:

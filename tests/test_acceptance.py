@@ -23,7 +23,6 @@ from moprompt.policy import (
     PolicyParams,
     init_policy,
     per_objective_loss_grads,
-    sample_prompts,
     sql_loss_and_grad,
 )
 from moprompt.runner import (
@@ -34,7 +33,7 @@ from moprompt.runner import (
     select_best_records,
     train,
 )
-from oracles import hypervolume_mc
+from oracles import hypervolume_mc, sample_seeded
 
 TAIL_EVALS = 5
 
@@ -279,7 +278,7 @@ def test_3_gradient_fidelity(announce):
         )
         params = init_policy(cfg, seed=trial)
         ctx = rng.normal(size=2)
-        tokens, table, _ = sample_prompts(params, ctx, k=3, seed=trial)
+        tokens, table = sample_seeded(params, ctx, k=3, seed=trial)
         rewards = rng.uniform(0.0, 1.0, size=3)
         _, analytic = sql_loss_and_grad(table, tokens, rewards)
         targets = _frozen_targets(cfg, params.flat, ctx, tokens, rewards)
@@ -312,11 +311,11 @@ def test_4_bandit_and_single_objective_equivalence(announce):
     flat = init_policy(cfg, seed=0).flat
     for step in range(500):
         current = PolicyParams(cfg, flat)
-        tokens, table, _ = sample_prompts(current, ctx, k=16, seed=1000 + step)
+        tokens, table = sample_seeded(current, ctx, k=16, seed=1000 + step)
         rewards = np.array([1.0 if row[0] == 3 else 0.0 for row in tokens])
         _, grad = sql_loss_and_grad(table, tokens, rewards)
         flat = flat - 0.1 * grad
-    probe_tokens, probe_table, _ = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)
+    probe_tokens, probe_table = sample_seeded(PolicyParams(cfg, flat), ctx, k=1, seed=0)
     probe_logits = probe_table.logits[probe_table.rows(probe_tokens)]
     z = probe_logits[0][0] / cfg.temperature
     probs = np.exp(z - z.max())
@@ -334,8 +333,8 @@ def test_4_bandit_and_single_objective_equivalence(announce):
     for step in range(25):
         params_a = PolicyParams(cfg2, flat_a)
         params_b = PolicyParams(cfg2, flat_b)
-        tokens_a, table_a, _ = sample_prompts(params_a, np.ones(2), k=4, seed=step)
-        tokens_b, table_b, _ = sample_prompts(params_b, np.ones(2), k=4, seed=step)
+        tokens_a, table_a = sample_seeded(params_a, np.ones(2), k=4, seed=step)
+        tokens_b, table_b = sample_seeded(params_b, np.ones(2), k=4, seed=step)
         rewards = np.array([row[0] / cfg2.vocab_size for row in tokens_a])
         _, grad_plain = sql_loss_and_grad(table_a, tokens_a, rewards)
         _, grads = per_objective_loss_grads(table_b, tokens_b, rewards[:, None])

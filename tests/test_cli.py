@@ -190,6 +190,14 @@ def test_invalid_env_name_rejected_by_parser(tmp_path):
         main(["train", "--env", "maze", "--steps", "1"])
 
 
+def test_compare_rejects_method_flag(capsys):
+    # compare trains all four methods; a --method would be silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--method", "hvi", "--steps", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method hvi" in capsys.readouterr().err
+
+
 def test_numerical_abort_exits_two(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.yaml", optimizer={"learning_rate": 1e200}

@@ -29,6 +29,7 @@ from moprompt.policy import (
     save_checkpoint,
     sql_loss_and_grad,
 )
+from oracles import prompt_log_probs, sample_seeded
 
 
 def small_cfg(**overrides) -> PolicyConfig:
@@ -188,28 +189,28 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path, seed):
 def test_sampling_is_deterministic_per_seed():
     params = init_policy(small_cfg(), seed=0)
     ctx = np.array([0.3, -0.2])
-    a_tokens, _, a_log_probs = sample_prompts(params, ctx, k=4, seed=11)
-    b_tokens, _, b_log_probs = sample_prompts(params, ctx, k=4, seed=11)
+    a_tokens, a_table = sample_seeded(params, ctx, k=4, seed=11)
+    b_tokens, b_table = sample_seeded(params, ctx, k=4, seed=11)
     assert all(np.array_equal(x, y) for x, y in zip(a_tokens, b_tokens))
-    assert all(x == y for x, y in zip(a_log_probs, b_log_probs))
-    c_tokens, _, _ = sample_prompts(params, ctx, k=4, seed=12)
+    assert np.array_equal(prompt_log_probs(a_table, a_tokens), prompt_log_probs(b_table, b_tokens))
+    c_tokens, _ = sample_seeded(params, ctx, k=4, seed=12)
     assert any(not np.array_equal(x, y) for x, y in zip(a_tokens, c_tokens))
 
 
 def test_sampling_from_given_uniforms_equals_seeded_sampling():
+    """k is read from the (T, k) uniforms, and row t decides token t: the
+    draws equal the per-position sampler's rng.random(k) on the same seed."""
     params = init_policy(small_cfg(), seed=0)
     ctx = np.array([0.3, -0.2])
     uniforms = np.random.default_rng(11).random((2, 4))
-    a_tokens, _, a_log_probs = sample_prompts(params, ctx, k=4, uniforms=uniforms)
-    b_tokens, _, b_log_probs = sample_prompts(params, ctx, k=4, seed=11)
-    assert np.array_equal(a_tokens, b_tokens)
-    assert np.array_equal(a_log_probs, b_log_probs)
-    with pytest.raises(ValueError, match="exactly one"):
-        sample_prompts(params, ctx, k=4)
-    with pytest.raises(ValueError, match="exactly one"):
-        sample_prompts(params, ctx, k=4, seed=11, uniforms=uniforms)
-    with pytest.raises(ValueError, match="uniforms"):
-        sample_prompts(params, ctx, k=4, uniforms=uniforms.T)
+    tokens, table = sample_prompts(params, ctx, uniforms)
+    want_tokens, _, want_log_probs = per_position_sampler(params, ctx, 4, 11)
+    assert tokens.shape == (4, 2)
+    assert np.array_equal(tokens, want_tokens)
+    assert np.allclose(prompt_log_probs(table, tokens), want_log_probs, rtol=1e-14, atol=0.0)
+    for bad in (uniforms.T, uniforms[0], uniforms[:, :0], uniforms[None]):
+        with pytest.raises(ValueError, match="uniforms"):
+            sample_prompts(params, ctx, bad)
 
 
 def per_position_sampler(params, context, k, seed):
@@ -246,7 +247,8 @@ def test_sampling_matches_per_position_draws_bitwise(k, seed):
     cfg = small_cfg(vocab_size=5, prompt_length=4, temperature=0.5)
     params = init_policy(cfg, seed=seed)
     ctx = np.random.default_rng(seed).normal(size=2)
-    tokens, table, log_probs = sample_prompts(params, ctx, k=k, seed=seed + 20)
+    tokens, table = sample_seeded(params, ctx, k=k, seed=seed + 20)
+    log_probs = prompt_log_probs(table, tokens)
     want_tokens, want_logits, want_log_probs = per_position_sampler(params, ctx, k, seed + 20)
     assert tokens.shape == (k, 4) and tokens.dtype == np.int64
     assert log_probs.shape == (k,)
@@ -282,7 +284,7 @@ def test_table_rows_equal_oracle_forward(trial):
     )
     params = init_policy(cfg, seed=trial)
     ctx = rng.normal(size=3)
-    tokens, table, log_probs = sample_prompts(params, ctx, k=16, seed=trial)
+    tokens, table = sample_seeded(params, ctx, k=16, seed=trial)
     inputs = oracle_table_inputs(cfg)
     assert table.logits.shape == (cfg.prompt_length * cfg.vocab_size, cfg.vocab_size)
     assert len(inputs) == table.logits.shape[0]
@@ -311,24 +313,21 @@ def test_table_rows_equal_oracle_forward(trial):
 
     ids = table.rows(tokens)
     for j, sample_tokens in enumerate(tokens):
-        total = 0.0
-        for t, token in enumerate(sample_tokens):
+        for t in range(cfg.prompt_length):
             assert ids[j, t] == row_of[(t, None if t == 0 else sample_tokens[t - 1])]
-            total += table.log_p[ids[j, t], token]
-        assert total == log_probs[j]
 
 
 def test_sampling_rejects_bad_arguments():
     params = init_policy(small_cfg(), seed=0)
     with pytest.raises(ValueError):
-        sample_prompts(params, np.zeros(3), k=1, seed=0)
+        sample_prompts(params, np.zeros(3), np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        sample_prompts(params, np.zeros(2), k=0, seed=0)
+        sample_prompts(params, np.zeros(2), np.zeros((2, 0)))
 
 
 def test_zero_weights_sample_uniformly():
     cfg = PolicyConfig(vocab_size=4, prompt_length=2, hidden_dim=4, context_dim=2)
-    tokens, _, _ = sample_prompts(zero_params(cfg), np.zeros(2), k=100_000, seed=5)
+    tokens, _ = sample_seeded(zero_params(cfg), np.zeros(2), k=100_000, seed=5)
     # 3 sigma for a fair four-way split over 1e5 draws.
     bound = 3.0 * math.sqrt(0.25 * 0.75 / 100_000)
     for t in range(cfg.prompt_length):
@@ -340,7 +339,7 @@ def test_head_bias_dominates_sampling():
     cfg = PolicyConfig(vocab_size=4, prompt_length=2, hidden_dim=4, context_dim=2)
     flat = np.zeros(param_count(cfg))
     flat[-4] = 10.0  # output bias of token 0
-    tokens, _, _ = sample_prompts(PolicyParams(cfg, flat), np.zeros(2), k=5000, seed=6)
+    tokens, _ = sample_seeded(PolicyParams(cfg, flat), np.zeros(2), k=5000, seed=6)
     assert (tokens == 0).mean() > 0.99
 
 
@@ -350,9 +349,9 @@ def test_log_prob_matches_recomputation(seed):
     cfg = small_cfg(vocab_size=5, prompt_length=3)
     params = init_policy(cfg, seed=seed % 1000)
     ctx = np.random.default_rng(seed).normal(size=2)
-    tokens, table, log_probs = sample_prompts(params, ctx, k=3, seed=seed)
+    tokens, table = sample_seeded(params, ctx, k=3, seed=seed)
     logits = table.logits[table.rows(tokens)]
-    for sample_tokens, sample_logits, log_prob in zip(tokens, logits, log_probs):
+    for sample_tokens, sample_logits, log_prob in zip(tokens, logits, prompt_log_probs(table, tokens)):
         total = 0.0
         for t in range(cfg.prompt_length):
             z = sample_logits[t] / cfg.temperature
@@ -373,7 +372,7 @@ def test_zero_policy_zero_reward_closed_form():
     # which tokens were sampled.
     cfg = PolicyConfig(vocab_size=2, prompt_length=2, hidden_dim=3, context_dim=2)
     params = zero_params(cfg)
-    tokens, table, _ = sample_prompts(params, np.zeros(2), k=4, seed=0)
+    tokens, table = sample_seeded(params, np.zeros(2), k=4, seed=0)
     loss, grad = sql_loss_and_grad(table, tokens, np.zeros(4))
     assert loss == pytest.approx(math.log(2.0) ** 2 / 4.0, abs=1e-12)
     assert grad.shape == (param_count(cfg),)
@@ -383,7 +382,7 @@ def test_loss_is_nonnegative_and_matches_oracle():
     cfg = small_cfg()
     params = init_policy(cfg, seed=2)
     ctx = np.array([0.1, 0.4])
-    tokens, table, _ = sample_prompts(params, ctx, k=5, seed=3)
+    tokens, table = sample_seeded(params, ctx, k=5, seed=3)
     rewards = np.linspace(0.0, 1.0, 5)
     loss, _ = sql_loss_and_grad(table, tokens, rewards)
     targets = oracle_targets(cfg, params.flat, ctx, tokens, rewards)
@@ -395,7 +394,7 @@ def test_loss_is_nonnegative_and_matches_oracle():
 
 def test_loss_rejects_misaligned_rewards():
     params = init_policy(small_cfg(), seed=0)
-    tokens, table, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
+    tokens, table = sample_seeded(params, np.zeros(2), k=3, seed=0)
     with pytest.raises(ValueError):
         sql_loss_and_grad(table, tokens, [0.5, 0.5])
     with pytest.raises(ValueError):
@@ -424,7 +423,7 @@ def test_gradient_matches_finite_differences(trial):
     )
     params = init_policy(cfg, seed=trial)
     ctx = rng.normal(size=2)
-    tokens, table, _ = sample_prompts(params, ctx, k=3, seed=trial + 50)
+    tokens, table = sample_seeded(params, ctx, k=3, seed=trial + 50)
     rewards = rng.uniform(0.0, 1.0, size=3)
 
     _, analytic = sql_loss_and_grad(table, tokens, rewards)
@@ -451,7 +450,7 @@ def test_per_objective_matches_single_objective_bitwise():
     cfg = small_cfg(vocab_size=4, prompt_length=3)
     params = init_policy(cfg, seed=7)
     ctx = np.array([0.2, -0.3])
-    tokens, table, _ = sample_prompts(params, ctx, k=6, seed=8)
+    tokens, table = sample_seeded(params, ctx, k=6, seed=8)
     rv = np.random.default_rng(9).uniform(0.0, 1.0, size=(6, 3))
     losses, grads = per_objective_loss_grads(table, tokens, rv)
     for i in range(3):
@@ -499,7 +498,7 @@ def test_stacked_backward_rows_equal_per_column_reference_bitwise(m, k, trial):
     cfg = PolicyConfig(vocab_size=8, prompt_length=5, temperature=float(rng.uniform(0.2, 2.0)))
     params = init_policy(cfg, seed=trial)
     ctx = rng.normal(size=cfg.context_dim)
-    tokens, table, _ = sample_prompts(params, ctx, k=k, seed=trial)
+    tokens, table = sample_seeded(params, ctx, k=k, seed=trial)
     rv = rng.uniform(0.0, 1.0, size=(k, m))
     losses, grads = per_objective_loss_grads(table, tokens, rv)
     ref_losses, ref_grads = per_column_loss_grads(table, tokens, rv)
@@ -513,7 +512,7 @@ def test_stacked_backward_rows_equal_per_column_reference_bitwise(m, k, trial):
 
 def test_identical_objectives_give_identical_gradients():
     params = init_policy(small_cfg(), seed=1)
-    tokens, table, _ = sample_prompts(params, np.zeros(2), k=4, seed=2)
+    tokens, table = sample_seeded(params, np.zeros(2), k=4, seed=2)
     col = np.random.default_rng(3).uniform(0.0, 1.0, size=4)
     rv = np.stack([col, col, col], axis=1)
     _, grads = per_objective_loss_grads(table, tokens, rv)
@@ -523,7 +522,7 @@ def test_identical_objectives_give_identical_gradients():
 
 def test_per_objective_single_column_equals_sql_loss():
     params = init_policy(small_cfg(), seed=4)
-    tokens, table, _ = sample_prompts(params, np.zeros(2), k=3, seed=5)
+    tokens, table = sample_seeded(params, np.zeros(2), k=3, seed=5)
     col = np.array([0.1, 0.9, 0.4])
     losses, grads = per_objective_loss_grads(table, tokens, col[:, None])
     loss, grad = sql_loss_and_grad(table, tokens, col)
@@ -533,7 +532,7 @@ def test_per_objective_single_column_equals_sql_loss():
 
 def test_per_objective_rejects_bad_shapes():
     params = init_policy(small_cfg(), seed=0)
-    tokens, table, _ = sample_prompts(params, np.zeros(2), k=3, seed=0)
+    tokens, table = sample_seeded(params, np.zeros(2), k=3, seed=0)
     with pytest.raises(ValueError):
         per_objective_loss_grads(table, tokens, np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -553,11 +552,11 @@ def test_bandit_smoke_convergence():
     flat = params.flat
     for step in range(500):
         current = PolicyParams(cfg, flat)
-        tokens, table, _ = sample_prompts(current, ctx, k=16, seed=1000 + step)
+        tokens, table = sample_seeded(current, ctx, k=16, seed=1000 + step)
         rewards = np.array([1.0 if row[0] == 3 else 0.0 for row in tokens])
         _, grad = sql_loss_and_grad(table, tokens, rewards)
         flat = flat - 0.1 * grad
-    probe_tokens, probe_table, _ = sample_prompts(PolicyParams(cfg, flat), ctx, k=1, seed=0)
+    probe_tokens, probe_table = sample_seeded(PolicyParams(cfg, flat), ctx, k=1, seed=0)
     probe_logits = probe_table.logits[probe_table.rows(probe_tokens)]
     z = probe_logits[0][0] / cfg.temperature
     probs = np.exp(z - z.max())

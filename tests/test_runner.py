@@ -293,9 +293,8 @@ def test_one_rollout_call_per_step_and_evaluation(monkeypatch, method):
     shapes = []
     original = runner.rollout
 
-    # The runner hands rollout its block draws by keyword; forward them.
-    def wrapper(env, tokens, seeds, k_hat, **draws):
-        out = original(env, tokens, seeds, k_hat, **draws)
+    def wrapper(env, tokens, draws, k_hat):
+        out = original(env, tokens, draws, k_hat)
         shapes.append(out.shape)
         return out
 
@@ -326,13 +325,13 @@ def test_block_draws_equal_per_step_streams(monkeypatch, steps, eval_every):
     got_uniforms, got_draws = [], []
     sample, roll = runner.sample_prompts, runner.rollout
 
-    def recording_sample(params, context, k, seed=None, uniforms=None):
+    def recording_sample(params, context, uniforms):
         got_uniforms.append(uniforms)
-        return sample(params, context, k, seed, uniforms)
+        return sample(params, context, uniforms)
 
-    def recording_rollout(env, tokens, seeds, k_hat, draws=None):
+    def recording_rollout(env, tokens, draws, k_hat):
         got_draws.append(draws)
-        return roll(env, tokens, seeds, k_hat, draws)
+        return roll(env, tokens, draws, k_hat)
 
     monkeypatch.setattr(runner, "sample_prompts", recording_sample)
     monkeypatch.setattr(runner, "rollout", recording_rollout)
@@ -656,7 +655,7 @@ def test_scatter_step_zero_point_recomputable_from_scratch(tmp_path):
     from moprompt.policy import init_policy
 
     params = init_policy(pcfg, derive_seed(7, ROLE_INIT))
-    metrics = runner._evaluate(cfg, params, 7)
+    metrics = runner._evaluate(cfg, params, runner._eval_draws(cfg, 7))
     assert first["x"] == float(metrics.per_objective_means[0])
     assert first["y"] == float(metrics.per_objective_means[1])
 
