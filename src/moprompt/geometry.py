@@ -18,24 +18,29 @@ sweep unfiltered: dominated and duplicate points never raise its running
 maximum, so it adds exactly the terms it would add on the filtered front.
 
 The 3-d sweep (after Kung, Luccio & Preparata, JACM 1975, and HV3D of
-Fonseca, Paquete & Lopez-Ibanez, CEC 2006) sorts the points once, in
-descending lexicographic order. It keeps a staircase: the distinct
-nondominated (y, z) projections of the front points seen so far, y ascending
-and z descending.
+Fonseca, Paquete & Lopez-Ibanez, CEC 2006) sorts the points once, on the
+first coordinate alone, descending. It keeps a staircase: the distinct
+nondominated (y, z) projections of the points seen so far, y ascending and
+z descending.
 
-- A row is dominated, or repeats an earlier row, exactly when some step of
-  the staircase is at least as large in both y and z. Every earlier row is
-  at least as large in x, so such a step comes from a point at least as
-  large in every coordinate; "at least as large" includes equality, so a
-  repeated row is caught too. Conversely, whatever dominates or repeats a
-  row sorts before it, and is either on the staircase or covered by a step
-  that is. Such rows are skipped, so no separate filter runs.
+- A row is skipped when some step is at least as large in both y and z:
+  every earlier row is at least as large in x, so such a step comes from a
+  point that dominates or repeats it. No separate filter runs. Any other
+  row replaces the steps it covers.
+- Within a group of rows with equal x every slab width is 0, so no area is
+  added whatever their order, and the staircase after the group, the
+  maximal (y, z) projections of all rows so far, does not depend on it. So
+  the additions match descending lexicographic order's term for term.
 - The slab below a front point is covered by the front points before it.
   The 2-d sweep of the slab's section adds area only at the distinct
   nondominated (y, z) points among them, in descending y, and those are the
   staircase's steps. Walking the staircase from the top therefore repeats
   the sweep's additions term by term, and the slab sum keeps slicing's order
   and its zero-width skips.
+
+`hypervolumes` validates, clamps and masks a (k, n, m) stack once; at m = 3
+one argsort orders every set, with masked rows keyed +inf so that they sort
+last and a per-set count cuts them off.
 
 The nondominated filter for four or more objectives and for `pareto_front`
 is vectorized: after collapsing duplicates it builds the "at least as large
@@ -49,7 +54,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-__all__ = ["pareto_front", "hypervolume"]
+__all__ = ["pareto_front", "hypervolume", "hypervolumes"]
 
 
 def _as_points(points) -> np.ndarray:
@@ -127,15 +132,32 @@ def hypervolume(points, ref) -> float:
     Raises:
         ValueError: on dimension mismatch or non-finite input.
     """
-    pts = _as_points(points)
-    if len(pts) == 0:
-        return 0.0
-    r = _as_ref(ref, pts.shape[1])
-    shifted = np.maximum(pts, r) - r
-    shifted = shifted[np.all(shifted > 0.0, axis=1)]
-    if len(shifted) == 0:
-        return 0.0
-    return _hv(shifted)
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0 and pts.shape[-1] == 0:
+        return 0.0  # no dimension to check ref against, as for []
+    return float(hypervolumes(pts[None], ref)[0])
+
+
+def hypervolumes(stack, ref) -> np.ndarray:
+    """`hypervolume` of each (n, m) set of a (k, n, m) stack, as a (k,) array.
+
+    Raises:
+        ValueError: as `hypervolume` does, and on a stack not (k, n, m >= 1).
+    """
+    arr = np.asarray(stack, dtype=float)
+    if arr.ndim != 3 or arr.shape[2] == 0:
+        raise ValueError(f"expected a (k, n, m >= 1) stack of point sets, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite")
+    r = _as_ref(ref, arr.shape[2])
+    shifted = np.maximum(arr, r) - r
+    keep = (shifted > 0.0).all(axis=2)
+    if arr.shape[2] != 3:
+        return np.array([_hv(s[kp]) if kp.any() else 0.0 for s, kp in zip(shifted, keep)])
+    order = np.where(keep, -shifted[:, :, 0], np.inf).argsort(axis=1)
+    cols = np.take_along_axis(shifted.transpose(0, 2, 1), order[:, None, :], axis=2).tolist()
+    counts = keep.sum(axis=1).tolist()
+    return np.array([_sweep_3d(*(c[:n] for c in xyz)) if n else 0.0 for xyz, n in zip(cols, counts)])
 
 
 def _hv(pts: np.ndarray) -> float:
@@ -146,17 +168,16 @@ def _hv(pts: np.ndarray) -> float:
         return float(pts.max())
     if m == 2:
         return _hv_sweep_2d(pts)
-    if m == 3:
-        return _hv_sweep_3d(pts)
+    if m == 3:  # three column lists iterate faster than n row lists
+        return _sweep_3d(*pts[np.argsort(-pts[:, 0])].T.tolist())
     return _hv_slice(_nondominated(pts))
 
 
 def _hv_sweep_2d(pts: np.ndarray) -> float:
     # Descending sweep over x; a point adds area only where its y exceeds
-    # the running maximum. Ties broken by the second coordinate, so a
-    # dominated or repeated point always follows one that bounds its y.
-    # Python floats are IEEE doubles, as numpy's float64 scalars are, and
-    # iterate faster.
+    # the running maximum. Ties broken by descending y, so a tied x adds its
+    # area in one term rather than in parts that round differently. Python
+    # floats are IEEE doubles, as numpy's float64 scalars are, and iterate faster.
     order = np.lexsort((-pts[:, 1], -pts[:, 0]))
     area = 0.0
     best_y = 0.0
@@ -167,12 +188,9 @@ def _hv_sweep_2d(pts: np.ndarray) -> float:
     return float(area)
 
 
-def _hv_sweep_3d(pts: np.ndarray) -> float:
-    # One pass in descending lexicographic order over a (y, z) staircase;
-    # see the module docstring for why it matches slicing the filtered front.
-    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
-    # Three column lists iterate faster than n row lists.
-    cols = pts[order].T.tolist()
+def _sweep_3d(*cols: list) -> float:
+    # One pass in descending x over a (y, z) staircase; see the module
+    # docstring for why it matches slicing the filtered front.
     ys: list[float] = []
     zs: list[float] = []
     total = 0.0

@@ -10,7 +10,9 @@ the caller draws, such as one step's slice of a block of steps.
 
 For one context the input is fixed by (t, previous token), so the policy
 is evaluated once per (parameters, context), as a PolicyTable over every
-such input. Sampling is T row lookups into the table, and the losses
+such input. Sampling compares the uniforms with every row's cumulative
+probabilities at once and follows each prompt's chain from position 0 by
+T - 1 integer gathers: the comparisons of row lookups, made in one. The losses
 gather the sampled rows' activations and soft values from the same table:
 a step's k prompts are one (k, T) token array plus that table from
 sampling to loss, with no second forward pass.
@@ -231,12 +233,12 @@ def sample_prompts(params: PolicyParams, context, uniforms):
     k = uniforms.shape[1]
     table = _build_table(params, ctx)
     v = cfg.vocab_size
+    # nxt[t, p, j]: token t of prompt j if token t - 1 was p.
+    nxt = np.minimum((uniforms[:, None, :, None] >= table.cum.reshape(-1, v, 1, v)).sum(axis=3), v - 1)
     tokens = np.empty((k, cfg.prompt_length), dtype=np.int64)
-    rows = np.zeros(k, dtype=np.int64)
-    for t, draw in enumerate(uniforms):
-        if t > 0:
-            rows = tokens[:, t - 1] + t * v
-        tokens[:, t] = np.minimum((draw[:, None] >= table.cum[rows]).sum(axis=1), v - 1)
+    tokens[:, 0] = nxt[0, 0]
+    for t in range(1, cfg.prompt_length):
+        tokens[:, t] = nxt[t, tokens[:, t - 1], np.arange(k)]
     return tokens, table
 
 

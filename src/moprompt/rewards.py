@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import hypervolume
+from .geometry import hypervolume, hypervolumes
 
 __all__ = [
     "aggregate_average",
@@ -70,13 +70,13 @@ def aggregate_hvi(batch, ref) -> np.ndarray:
     """Per batch, the hypervolume of the batch as a point set above ref.
 
     Dominated samples add nothing; the volume has no canonical per-sample
-    decomposition, so each (n, m) batch yields one scalar, from one
-    hypervolume call.
+    decomposition, so each (n, m) batch yields one scalar; the whole stack
+    is one `hypervolumes` call.
 
     Raises:
         ValueError: on an empty stack or a reference point of wrong dimension.
     """
-    return np.array([hypervolume(b, ref) for b in _as_batch(batch, 3)])
+    return hypervolumes(_as_batch(batch, 3), ref)
 
 
 def evaluation_metrics(batch, ref) -> EvaluationMetrics:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from moprompt import geometry
-from moprompt.geometry import hypervolume, pareto_front
+from moprompt.geometry import hypervolume, hypervolumes, pareto_front
 from oracles import dominates, hypervolume_mc
 
 
@@ -228,6 +228,24 @@ def test_hypervolume_rejects_bad_input():
         hypervolume([[np.nan, 0.5]], [0.0, 0.0])
     with pytest.raises(ValueError):
         hypervolume_mc([[0.5, 0.5]], [0.0, 0.0], 0, seed=1)
+    for bad in ([0.5, 0.5], [[[0.5, 0.5]]], 0.5):
+        with pytest.raises(ValueError):
+            hypervolume(bad, [0.0, 0.0])
+    for bad in ([[0.5, 0.5]], np.zeros((1, 2, 0)), [[[np.inf, 0.5]]]):
+        with pytest.raises(ValueError):
+            hypervolumes(bad, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad_ref", [[0.0], [np.nan, 0.0, 0.0]])
+def test_empty_point_set_still_checks_reference(bad_ref):
+    # An empty (0, m) set has a dimension, so the reference point is
+    # checked against it; only the dimensionless [] skips the check.
+    with pytest.raises(ValueError, match="reference point"):
+        hypervolume(np.empty((0, 3)), bad_ref)
+    with pytest.raises(ValueError, match="reference point"):
+        hypervolumes(np.empty((2, 0, 3)), bad_ref)
+    assert hypervolume(np.empty((0, 3)), np.zeros(3)) == 0.0
+    assert np.array_equal(hypervolumes(np.empty((2, 0, 3)), np.zeros(3)), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +287,14 @@ def test_hypervolume_mc_chunks_match_one_draw(monkeypatch):
 
 
 @st.composite
-def tied_point_sets(draw, m):
+def tied_point_sets(draw, m, n=None):
     """Point sets with rounded ties, repeated rows and points below `ref`.
 
     Half the sets start on the simplex, where every point is nondominated,
-    so that large fronts and deep slicing recursions are common.
+    so that large fronts and deep slicing recursions are common. `n` fixes
+    the number of rows.
     """
-    n = draw(st.sampled_from(range(1, 21)))
+    n = n or draw(st.sampled_from(range(1, 21)))
     distinct = n - draw(st.integers(0, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -298,6 +317,52 @@ def test_hypervolume_bit_identical_to_reference(m, data):
     pts, ref = data.draw(tied_point_sets(m))
     assert hypervolume(pts, ref) == reference_hypervolume(pts, ref)
     assert np.array_equal(pareto_front(pts), reference_front(pts))
+
+
+@st.composite
+def tied_point_stacks(draw, m):
+    """(k, n, m) stacks of `tied_point_sets` under the first set's `ref`.
+
+    About a quarter of the batches lie wholly at or below `ref`: every row
+    is moved onto it, or 0.1 below it, in one random coordinate.
+    """
+    n = draw(st.integers(1, 20))
+    sets = [draw(tied_point_sets(m, n)) for _ in range(draw(st.integers(1, 5)))]
+    stack, ref = np.stack([pts for pts, _ in sets]), sets[0][1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    below = rng.random(len(stack)) < 0.25
+    for b in np.flatnonzero(below):
+        cols = rng.integers(0, m, size=n)
+        stack[b, np.arange(n), cols] = ref[cols] - rng.choice([0.0, 0.1], size=n)
+    return stack, ref, below
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_hypervolumes_bit_identical_per_batch(m, data):
+    stack, ref, below = data.draw(tied_point_stacks(m))
+    volumes = hypervolumes(stack, ref)
+    assert volumes.shape == (len(stack),) and volumes.dtype == float
+    for pts, volume, is_below in zip(stack, volumes, below):
+        assert volume == hypervolume(pts, ref) == reference_hypervolume(pts, ref)
+        if is_below:
+            assert volume == 0.0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_3d_independent_of_order_within_equal_first_coordinates(data):
+    pts, _ = data.draw(tied_point_sets(3))
+    pts = np.abs(pts) + 0.01
+    pts[:, 0] = np.round(pts[:, 0], 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lex = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
+    want = geometry._sweep_3d(*pts[lex].T.tolist())
+    for _ in range(3):
+        shuffled = np.lexsort((rng.random(len(pts)), -pts[:, 0]))
+        assert geometry._sweep_3d(*pts[shuffled].T.tolist()) == want
+    assert want == hypervolume(pts, np.zeros(3)) == reference_hypervolume(pts, np.zeros(3))
 
 
 def batch_scale_point_sets(m: int, n_max: int, count: int):

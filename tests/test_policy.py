@@ -262,6 +262,40 @@ def test_sampling_matches_per_position_draws_bitwise(k, seed):
     assert np.all(np.abs(log_probs - want_log_probs) <= 2e-15 * np.abs(want_log_probs))
 
 
+def row_lookup_sampler(table, uniforms):
+    """The sampler as one table row lookup per position, kept as a reference."""
+    v = table.params.cfg.vocab_size
+    tokens = np.empty(uniforms.T.shape, dtype=np.int64)
+    rows = np.zeros(uniforms.shape[1], dtype=np.int64)
+    for t, draw in enumerate(uniforms):
+        if t > 0:
+            rows = tokens[:, t - 1] + t * v
+        tokens[:, t] = np.minimum((draw[:, None] >= table.cum[rows]).sum(axis=1), v - 1)
+    return tokens
+
+
+@pytest.mark.parametrize("v", [2, 3, 8, 16])
+@pytest.mark.parametrize("temperature", [0.25, 1.0, 4.0])
+def test_sampling_chain_equals_row_lookups(v, temperature):
+    cfg = PolicyConfig(vocab_size=v, prompt_length=5, hidden_dim=8, context_dim=3, temperature=temperature)
+    rng = np.random.default_rng(v)
+    for k in range(1, 40):
+        params = init_policy(cfg, seed=k)
+        ctx = rng.normal(size=3)
+        uniforms = rng.random((5, k))
+        _, table = sample_prompts(params, ctx, uniforms)
+        # Every third draw of position t is set equal to a cumulative
+        # probability of the row it is compared with, so the comparison
+        # ties; rows at t depend only on the draws before t. A draw of 1.0
+        # checks the clamp to V - 1.
+        for t in range(5):
+            rows = table.rows(row_lookup_sampler(table, uniforms))[::3, t]
+            uniforms[t, ::3] = table.cum[rows, rng.integers(0, v, rows.shape)]
+        uniforms[-1, -1] = 1.0
+        tokens, table = sample_prompts(params, ctx, uniforms)
+        assert np.array_equal(tokens, row_lookup_sampler(table, uniforms))
+
+
 def oracle_table_inputs(cfg):
     """(row id, position, previous token or None) for every table row; the
     V rows of position 0 all hold its one input."""
