@@ -1,7 +1,8 @@
 """Command line front end.
 
 `train` and `compare` share one configuration pipeline: profile defaults,
-then the YAML config file, then explicit flags, parsed fail-closed.
+then the YAML config file, then explicit flags, which `config_from_dict`
+merges and checks, failing closed.
 `compare` also prints the comparison table, which it writes to
 table1_analog.csv when an output directory is given. `scatter` and
 `inspect` read the metrics.csv of an existing run directory.
@@ -76,38 +77,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_yaml(path: str) -> dict:
+def _load_yaml(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    return data
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
-    data = _load_yaml(args.config) if args.config else {}
-    if getattr(args, "method", None):
-        data["method"] = args.method
-    if args.env:
-        data.setdefault("env", {})["name"] = args.env
-    run_section = data.setdefault("run", {})
+    """The config file, if any, under the flags given, in the same nested format."""
+    data = _load_yaml(args.config) if args.config else None
+    run: dict = {}
     if args.seed:
         try:
-            run_section["seeds"] = [int(s) for s in args.seed.split(",")]
+            run["seeds"] = [int(s) for s in args.seed.split(",")]
         except ValueError as exc:
             raise ConfigError(f"invalid --seed value {args.seed!r}") from exc
     if args.steps is not None:
-        run_section["steps"] = args.steps
+        run["steps"] = args.steps
     if args.out_dir:
-        run_section["out_dir"] = args.out_dir
-    return config_from_dict(data, profile=args.profile)
+        run["out_dir"] = args.out_dir
+    flags = {"env": {"name": args.env} if args.env else None, "run": run}
+    if getattr(args, "method", None):
+        flags["method"] = args.method
+    return config_from_dict(data, profile=args.profile, overrides=flags)
 
 
 def _print_table(rows: list) -> None:

@@ -44,6 +44,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .envs import check_finite_reals, is_integer
+
 __all__ = [
     "PolicyConfig",
     "PolicyParams",
@@ -80,12 +82,12 @@ class PolicyConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "prompt_length", "hidden_dim", "context_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.reward_scale <= 0.0:
-            raise ValueError("reward_scale must be positive")
+            value = getattr(self, name)
+            if not is_integer(value) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_finite_reals(ValueError, temperature=self.temperature, reward_scale=self.reward_scale)
+        if self.temperature <= 0.0 or self.reward_scale <= 0.0:
+            raise ValueError("temperature and reward_scale must be positive")
 
     @property
     def input_dim(self) -> int:

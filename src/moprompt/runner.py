@@ -34,6 +34,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 from numpy.random import Generator
@@ -82,16 +83,15 @@ __all__ = [
 
 METHODS = ("average", "product", "hvi", "mgda")
 
-PROFILES = {
-    "desk": {
-        "steps": 2000,
-        "k_hat": 32,
-        "eval_every": 100,
-        "learning_rate": 0.01,
-        "temperature": 0.25,
-    },
-    "paper": {"steps": 12000, "k_hat": 128, "eval_every": 200, "learning_rate": 1e-4},
-}
+# Read-only, so that no caller can change the defaults of every later config.
+PROFILES = MappingProxyType(
+    {
+        "desk": MappingProxyType(
+            {"steps": 2000, "k_hat": 32, "eval_every": 100, "learning_rate": 0.01, "temperature": 0.25}
+        ),
+        "paper": MappingProxyType({"steps": 12000, "k_hat": 128, "eval_every": 200, "learning_rate": 1e-4}),
+    }
+)
 
 
 class ConfigError(ValueError):
@@ -130,20 +130,16 @@ class TrainConfig:
             # A repeated seed would train twice, duplicate its metrics rows
             # and overwrite its own checkpoint.
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
-        for name in ("k", "k_hat", "steps", "eval_every", "eval_total_samples", "hidden_dim"):
+        for name in ("k", "k_hat", "steps", "eval_every", "eval_total_samples"):
             value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not is_integer(value) or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         check_finite_reals(
             ConfigError,
             learning_rate=self.learning_rate,
             adam_beta1=self.adam_beta1,
             adam_beta2=self.adam_beta2,
             adam_eps=self.adam_eps,
-            temperature=self.temperature,
-            reward_scale=self.reward_scale,
         )
         # learning_rate 0 is allowed: it turns training into a no-op probe.
         if self.learning_rate < 0.0:
@@ -152,8 +148,24 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0.0:
             raise ConfigError("adam_eps must be positive")
-        if self.temperature <= 0.0 or self.reward_scale <= 0.0:
-            raise ConfigError("temperature and reward_scale must be positive")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
+        try:
+            self.policy  # PolicyConfig checks hidden_dim, temperature and reward_scale.
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @property
+    def policy(self) -> PolicyConfig:
+        """The policy's architecture and loss constants, sized by the env."""
+        return PolicyConfig(
+            vocab_size=self.env.vocab_size,
+            prompt_length=self.env.prompt_length,
+            hidden_dim=self.hidden_dim,
+            context_dim=self.env.context_dim,
+            temperature=self.temperature,
+            reward_scale=self.reward_scale,
+        )
 
 
 @dataclass(frozen=True)
@@ -181,75 +193,68 @@ class TrainResult:
 # configuration parsing
 
 
-_ENV_KEYS = {
-    "name",
-    "m",
-    "seed",
-    "noise_scale",
-    "outlier_prob",
-    "vocab_size",
-    "prompt_length",
-    "n_inputs",
-    "context_dim",
-}
-_RUN_KEYS = {"k", "k_hat", "steps", "eval_every", "eval_total_samples", "seeds", "out_dir"}
-_OPTIMIZER_KEYS = {"learning_rate", "adam_beta1", "adam_beta2", "adam_eps"}
-_POLICY_KEYS = {"hidden_dim", "temperature", "reward_scale"}
-_SECTIONS = {"method", "env", "run", "optimizer", "policy"}
+# Each section's keys; the root of the nested config format holds the sections and "method".
+_SECTIONS = MappingProxyType(
+    {
+        "env": frozenset(
+            {"name", "m", "seed", "noise_scale", "outlier_prob"}
+            | {"vocab_size", "prompt_length", "n_inputs", "context_dim"}
+        ),
+        "run": frozenset({"k", "k_hat", "steps", "eval_every", "eval_total_samples", "seeds", "out_dir"}),
+        "optimizer": frozenset({"learning_rate", "adam_beta1", "adam_beta2", "adam_eps"}),
+        "policy": frozenset({"hidden_dim", "temperature", "reward_scale"}),
+    }
+)
 
 
-def _check_keys(section: str, got: dict, allowed: set) -> None:
-    unknown = set(got) - allowed
+def _mapping(name: str, value, keys) -> dict:
+    """A root or section of the nested config format, None read as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    unknown = value.keys() - keys
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
+    return value
 
 
-def config_from_dict(data: dict, profile: str = "desk") -> TrainConfig:
-    """Build a TrainConfig from nested sections, failing closed.
+def config_from_dict(data: dict | None, profile: str = "desk", overrides: dict | None = None) -> TrainConfig:
+    """Build a TrainConfig from the nested config format, failing closed.
 
-    Precedence: explicit values in `data` override the profile, which
-    overrides the dataclass defaults.
+    `data` (a config file) and `overrides` (the command-line flags) are
+    each a mapping of an optional "method" and the sections of
+    `_SECTIONS`; None stands for an empty root or section. Each value
+    resolves to its last setting among the defaults of `TrainConfig` and
+    `builtin_env`, the profile, `data` and `overrides`.
 
     Raises:
-        ConfigError: on unknown profile, section, or key, or invalid values.
+        ConfigError: on an unknown profile, section or key, a root or
+            section that is not a mapping, or an invalid value, the
+            environment's and the policy's included.
     """
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys("config", data, _SECTIONS)
-    env_section = dict(data.get("env") or {})
-    run_section = dict(data.get("run") or {})
-    optimizer_section = dict(data.get("optimizer") or {})
-    policy_section = dict(data.get("policy") or {})
-    _check_keys("env", env_section, _ENV_KEYS)
-    _check_keys("run", run_section, _RUN_KEYS)
-    _check_keys("optimizer", optimizer_section, _OPTIMIZER_KEYS)
-    _check_keys("policy", policy_section, _POLICY_KEYS)
-
+    fields = {"method": "average", **PROFILES[profile]}
     env_args = {"name": "tug-of-war", "m": 2, "seed": 0}
-    env_args.update(env_section)
-    name = env_args.pop("name")
-    m = env_args.pop("m")
-    env_seed = env_args.pop("seed")
+    for layer in (data, overrides):
+        for section, values in _mapping("config", layer, {"method", *_SECTIONS}).items():
+            if section == "method":
+                fields["method"] = values
+            else:
+                # The run, optimizer and policy keys are TrainConfig fields.
+                values = _mapping(section, values, _SECTIONS[section])
+                (env_args if section == "env" else fields).update(values)
     try:
-        env = builtin_env(name, m=m, seed=env_seed, **env_args)
+        fields["env"] = builtin_env(**env_args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    fields: dict = {"method": data.get("method", "average"), "env": env}
-    fields.update(PROFILES[profile])
-    for section in (run_section, optimizer_section, policy_section):
-        fields.update(section)
     if "seeds" in fields:
         try:
             fields["seeds"] = tuple(fields["seeds"])
         except TypeError as exc:
             raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
-    try:
-        return TrainConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +284,6 @@ class Adam:
 
 # ---------------------------------------------------------------------------
 # training
-
-
-def _policy_config(cfg: TrainConfig) -> PolicyConfig:
-    return PolicyConfig(
-        vocab_size=cfg.env.vocab_size,
-        prompt_length=cfg.env.prompt_length,
-        hidden_dim=cfg.hidden_dim,
-        context_dim=cfg.env.context_dim,
-        temperature=cfg.temperature,
-        reward_scale=cfg.reward_scale,
-    )
 
 
 def _prompt_scalars(method: str, batch: np.ndarray, m: int) -> np.ndarray:
@@ -359,7 +353,7 @@ def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
 
 def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyParams:
     env = cfg.env
-    pcfg = _policy_config(cfg)
+    pcfg = cfg.policy
     flat = init_policy(pcfg, derive_seed(seed, ROLE_INIT)).flat
     adam = Adam(flat.shape[0], cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     n_inputs = env.inputs.shape[0]

@@ -64,6 +64,15 @@ def test_flags_override_config_file(tmp_path):
     assert max(r.step for r in records) == 2
 
 
+def test_empty_section_takes_flags(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("method: average\nrun:\npolicy: {hidden_dim: 4}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--steps", "2", "--seed", "3", "--out-dir", str(out)]) == 0
+    assert {r.seed for r in read_metrics_csv(out / "metrics.csv")} == {3}
+    assert (out / "checkpoint_3.txt").exists()
+
+
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", extra_section={"x": 1})
     assert main(["train", "--config", cfg]) == 1
@@ -123,6 +132,11 @@ def test_duplicate_seed_flag_exits_one(tmp_path, capsys):
         {"env": {"name": "tug-of-war", "noise_scale": True}},
         {"env": {"name": "outlier-prone", "outlier_prob": True}},
         {"optimizer": {"learning_rate": "1e-4"}},
+        {"run": 5},
+        {"env": [1, 2]},
+        {"policy": "abc"},
+        {"optimizer": [["learning_rate", 0.1]]},
+        {"env": {"name": "tug-of-war", "context_dim": 0}},
     ],
     ids=[
         "seeds-not-a-list",
@@ -152,12 +166,19 @@ def test_duplicate_seed_flag_exits_one(tmp_path, capsys):
         "noise-scale-bool",
         "outlier-prob-bool",
         "learning-rate-string",
+        "run-not-a-mapping",
+        "env-a-list",
+        "policy-a-string",
+        "optimizer-a-list-of-pairs",
+        "context-dim-zero",
     ],
 )
 def test_malformed_config_values_exit_one(tmp_path, capsys, section):
     cfg = write_config(tmp_path / "cfg.yaml", **section)
-    assert main(["train", "--config", cfg]) == 1
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_float_config_error_names_field_and_value(tmp_path, capsys):

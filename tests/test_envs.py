@@ -41,6 +41,10 @@ def test_env_spec_validation():
         EnvSpec(name="tug-of-war", m=2, vocab_size=1, prompt_length=5, inputs=inputs)
     with pytest.raises(ValueError):
         EnvSpec(name="tug-of-war", m=2, vocab_size=8, prompt_length=5, inputs=np.zeros((0, 4)))
+    with pytest.raises(ValueError, match="both positive"):
+        EnvSpec(name="tug-of-war", m=2, vocab_size=8, prompt_length=5, inputs=np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="both positive"):
+        builtin_env("tug-of-war", m=2, seed=0, context_dim=0)
     with pytest.raises(ValueError):
         EnvSpec(
             name="tug-of-war", m=2, vocab_size=8, prompt_length=5, inputs=inputs, noise_scale=-0.1
@@ -334,13 +338,18 @@ def test_arm_means_depend_on_tokens_and_seed():
 
 
 def reference_arm_mean(env, tokens):
-    """One prompt's mean vector, hashed with the full-length derive_seed."""
+    """One prompt's mean vector, hashed with the full-length derive_seed and
+    normalized by a left-to-right sum (Python 3.12's builtin sum compensates,
+    numpy's np.sum adds pairwise from 8 terms on)."""
     u = unit_floats(derive_seed(env.seed, ROLE_ARMS, *tokens), env.m + 1)
     exps = [-math.log(1.0 - x) for x in u[: env.m]]
-    return (0.4 + 0.6 * u[env.m]) * np.array(exps) / sum(exps)
+    total = 0.0
+    for x in exps:
+        total += x
+    return (0.4 + 0.6 * u[env.m]) * np.array(exps) / total
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
 @pytest.mark.parametrize("seed", [0, -3, 2**64 + 5])
 def test_batched_arm_means_equal_per_prompt_reference_bitwise(m, seed):
     env = builtin_env("gaussian-arms", m=m, seed=seed, noise_scale=0.0)

@@ -120,6 +120,15 @@ def test_config_validation():
         PolicyConfig(vocab_size=4, temperature=0.0)
     with pytest.raises(ValueError):
         PolicyConfig(vocab_size=4, reward_scale=-1.0)
+    for bad in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="finite number"):
+            PolicyConfig(vocab_size=4, temperature=bad)
+        with pytest.raises(ValueError, match="finite number"):
+            PolicyConfig(vocab_size=4, reward_scale=bad)
+    for name in ("vocab_size", "prompt_length", "hidden_dim", "context_dim"):
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                PolicyConfig(**{"vocab_size": 4, name: bad})
 
 
 def test_init_is_deterministic_with_zero_biases():
@@ -154,6 +163,11 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.cfg == cfg
     assert np.array_equal(loaded.flat, params.flat)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["config"]["temperature"] = float("nan")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="temperature"):
+        load_checkpoint(path)
 
 
 def json_dump_checkpoint(path, params):

@@ -167,6 +167,14 @@ def test_config_from_dict_applies_profile_defaults():
     assert paper.k_hat == 128
     assert paper.learning_rate == 1e-4
     assert paper.temperature == 1.0
+    # The tables are read-only: no caller changes every later config.
+    with pytest.raises(TypeError):
+        runner.PROFILES["desk"]["steps"] = 1
+    with pytest.raises(TypeError):
+        runner.PROFILES["laptop"] = {}
+    with pytest.raises(TypeError):
+        runner._SECTIONS["run"] = frozenset()
+    assert config_from_dict({"method": "hvi"}, profile="desk").steps == 2000
 
 
 def test_config_from_dict_explicit_values_override_profile():
@@ -187,6 +195,12 @@ def test_config_from_dict_explicit_values_override_profile():
     assert cfg.out_dir == "x"
     assert cfg.learning_rate == 0.5
     assert cfg.hidden_dim == 4
+    # overrides sit above data, key by key, and empty sections are empty.
+    flags = {"method": "hvi", "env": {"m": 2}, "run": {"steps": 9}, "policy": None}
+    cfg = config_from_dict({**data, "optimizer": None}, profile="desk", overrides=flags)
+    assert (cfg.method, cfg.env.name, cfg.env.m, cfg.env.seed) == ("hvi", "gaussian-arms", 2, 11)
+    assert (cfg.steps, cfg.k_hat, cfg.seeds, cfg.hidden_dim) == (9, 3, (4, 5), 4)
+    assert cfg.learning_rate == 0.01
 
 
 def test_config_from_dict_fails_closed():
@@ -206,6 +220,19 @@ def test_config_from_dict_fails_closed():
         config_from_dict({"env": {"name": "maze"}})
     with pytest.raises(ConfigError):
         config_from_dict([])
+    for bad in ({"run": 5}, {"env": [1, 2]}, {"policy": "abc"}, {"optimizer": [["learning_rate", 0.1]]}):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            config_from_dict(bad)
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            config_from_dict({}, overrides=bad)
+    with pytest.raises(ConfigError):
+        config_from_dict({}, overrides={"run": {"step": 5}})
+    with pytest.raises(ConfigError, match="context_dim"):
+        config_from_dict({"env": {"context_dim": 0}})
+    with pytest.raises(ConfigError, match="hidden_dim"):
+        config_from_dict({"policy": {"hidden_dim": True}})
+    with pytest.raises(ConfigError, match="out_dir"):
+        config_from_dict({"run": {"out_dir": 5}})
 
 
 def test_duplicate_seeds_fail_closed():
@@ -651,7 +678,7 @@ def test_scatter_step_zero_point_recomputable_from_scratch(tmp_path):
     with open(path, encoding="utf-8") as fh:
         first = json.loads(fh.readline())
     assert first["step"] == 0
-    pcfg = runner._policy_config(cfg)
+    pcfg = cfg.policy
     from moprompt.policy import init_policy
 
     params = init_policy(pcfg, derive_seed(7, ROLE_INIT))
