@@ -2,9 +2,10 @@
 
 The common-descent direction for m objectives is d = -(sum_i lambda_i g_i),
 where lambda minimizes ||sum_i lambda_i g_i||^2 over the probability simplex.
-That quadratic is solved exactly, for every m, by Wolfe's minimum-norm-point
-algorithm (P. Wolfe, "Finding the nearest point in a polytope", Math.
-Programming 1976) on the m x m Gram matrix. It keeps a corral, an affinely
+That quadratic is solved exactly, on one path for every m (m = 1 included),
+by Wolfe's minimum-norm-point algorithm (P. Wolfe, "Finding the nearest
+point in a polytope", Math. Programming 1976) on the m x m Gram matrix; a
+Gram matrix that overflows raises for every m. It keeps a corral, an affinely
 independent set of gradients whose convex hull holds the current point. A
 major cycle adds the gradient with the smallest inner product against the
 current point; a minor cycle moves to the corral's affine minimizer, first
@@ -77,17 +78,6 @@ def min_norm_point(gradients) -> DescentResult:
             matrix overflows.
     """
     g = _as_gradients(gradients)
-    if g.shape[0] == 1:
-        # Single objective: plain gradient descent, bit for bit.
-        return DescentResult(
-            weights=np.ones(1),
-            direction=-g[0],
-            combined_norm_sq=float(g[0] @ g[0]),
-            gap=0.0,
-            converged=True,
-            iterations=0,
-        )
-
     with np.errstate(over="ignore", invalid="ignore"):
         gram = g @ g.T
     if not np.isfinite(gram).all():

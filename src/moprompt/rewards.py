@@ -5,12 +5,11 @@ generated output. Each aggregator takes a training step's (k, n, m) stack
 of batches, one per prompt, and collapses each batch to the float that
 becomes the prompt's terminal reward in the soft-Q loss: the grand mean,
 the expected product, or the hypervolume of the batch as a point set. The
-result is the (k,) array of those floats.
+result is the (k,) array of those floats. An evaluation batch is one (n, m)
+array; `evaluation_metrics` reports it as `runner.MetricsRecord`'s metrics.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +21,6 @@ __all__ = [
     "aggregate_hvi",
     "evaluation_metrics",
 ]
-
-
-@dataclass(frozen=True)
-class EvaluationMetrics:
-    """The reported batch metrics, all on the raw [0, 1] reward scale."""
-
-    per_objective_means: np.ndarray
-    mean_of_means: float
-    expected_product: float
-    hvi: float
 
 
 def _as_batch(batch, ndim: int) -> np.ndarray:
@@ -79,17 +68,18 @@ def aggregate_hvi(batch, ref) -> np.ndarray:
     return hypervolumes(_as_batch(batch, 3), ref)
 
 
-def evaluation_metrics(batch, ref) -> EvaluationMetrics:
-    """All reported metrics for one evaluation batch.
+def evaluation_metrics(batch, ref) -> dict:
+    """All reported metrics for one evaluation batch, on the raw [0, 1]
+    reward scale, keyed by the metric fields of `runner.MetricsRecord`.
 
     Raises:
         ValueError: on an empty batch.
     """
     arr = _as_batch(batch, 2)
     per_objective = arr.mean(axis=0)
-    return EvaluationMetrics(
-        per_objective_means=per_objective,
-        mean_of_means=float(per_objective.mean()),
-        expected_product=float(arr.prod(axis=1).mean()),
-        hvi=hypervolume(arr, ref),
-    )
+    return {
+        "per_objective_means": tuple(per_objective.tolist()),
+        "mean_of_means": float(per_objective.mean()),
+        "expected_product": float(arr.prod(axis=1).mean()),
+        "hvi": hypervolume(arr, ref),
+    }

@@ -30,7 +30,6 @@ seeds are derived as uint64 arrays and its streams built by
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -109,9 +108,6 @@ class TrainConfig:
     k_hat: int = 128
     steps: int = 12000
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eval_every: int = 200
     eval_total_samples: int = 128
     hidden_dim: int = 32
@@ -134,20 +130,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not is_integer(value) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        check_finite_reals(
-            ConfigError,
-            learning_rate=self.learning_rate,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-        )
+        check_finite_reals(ConfigError, learning_rate=self.learning_rate)
         # learning_rate 0 is allowed: it turns training into a no-op probe.
         if self.learning_rate < 0.0:
             raise ConfigError("learning_rate must be nonnegative")
-        if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ConfigError("adam_eps must be positive")
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
             raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         try:
@@ -201,7 +187,7 @@ _SECTIONS = MappingProxyType(
             | {"vocab_size", "prompt_length", "n_inputs", "context_dim"}
         ),
         "run": frozenset({"k", "k_hat", "steps", "eval_every", "eval_total_samples", "seeds", "out_dir"}),
-        "optimizer": frozenset({"learning_rate", "adam_beta1", "adam_beta2", "adam_eps"}),
+        "optimizer": frozenset({"learning_rate"}),
         "policy": frozenset({"hidden_dim", "temperature", "reward_scale"}),
     }
 )
@@ -262,13 +248,13 @@ def config_from_dict(data: dict | None, profile: str = "desk", overrides: dict |
 
 
 class Adam:
-    """Standard bias-corrected Adam; epsilon sits outside the square root."""
+    """Bias-corrected Adam at the defaults of Kingma & Ba (ICLR 2015), which
+    no run changes; epsilon sits outside the square root."""
 
-    def __init__(self, dim: int, lr: float, beta1: float, beta2: float, eps: float):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, dim: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
@@ -339,23 +325,14 @@ def _evaluate(cfg: TrainConfig, params: PolicyParams, eval_draws):
 
 def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
     metrics = _evaluate(cfg, params, eval_draws)
-    return MetricsRecord(
-        step=step,
-        seed=seed,
-        method=cfg.method,
-        per_objective_means=tuple(float(x) for x in metrics.per_objective_means),
-        mean_of_means=metrics.mean_of_means,
-        expected_product=metrics.expected_product,
-        hvi=metrics.hvi,
-        mgda_norm_sq=norm_sq,
-    )
+    return MetricsRecord(step, seed, cfg.method, **metrics, mgda_norm_sq=norm_sq)
 
 
 def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyParams:
     env = cfg.env
     pcfg = cfg.policy
     flat = init_policy(pcfg, derive_seed(seed, ROLE_INIT)).flat
-    adam = Adam(flat.shape[0], cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam = Adam(flat.shape[0], cfg.learning_rate)
     n_inputs = env.inputs.shape[0]
     norm_sq: float | None = None
 
@@ -375,12 +352,12 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
 
         if cfg.method == "mgda":
             losses, grads = per_objective_loss_grads(table, tokens, batch.mean(axis=1))
-            healthy = bool(np.isfinite(losses).all() and np.isfinite(grads).all())
+            healthy = bool(np.isfinite(losses).all())
             if healthy:
                 try:
                     solution = min_norm_point(grads)
                 except ValueError:
-                    # Finite gradients can still overflow their Gram matrix.
+                    # Non-finite gradients, or finite ones whose Gram matrix overflows.
                     healthy = False
                 else:
                     norm_sq = solution.combined_norm_sq
@@ -444,9 +421,7 @@ def compare_methods(cfg_base: TrainConfig) -> TrainResult:
     if cfg_base.out_dir is not None:
         write_metrics_csv(combined.records, os.path.join(cfg_base.out_dir, "metrics.csv"))
         rows = comparison_table(combined.records, cfg_base.env.m)
-        table_path = os.path.join(cfg_base.out_dir, "table1_analog.csv")
-        with open(table_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("".join(",".join(row) + "\n" for row in rows))
+        _write_rows(rows, os.path.join(cfg_base.out_dir, "table1_analog.csv"))
     return combined
 
 
@@ -499,17 +474,21 @@ def write_metrics_csv(records: list, path) -> None:
         + [f"mean_{i}" for i in range(m)]
         + ["mean_of_means", "expected_product", "hvi", "mgda_norm_sq"]
     )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    rows = [header]
     for r in records:
         row = [str(r.step), str(r.seed), r.method]
         row += [repr(float(x)) for x in r.per_objective_means]
         row += [repr(float(r.mean_of_means)), repr(float(r.expected_product)), repr(float(r.hvi))]
         row.append("" if r.mgda_norm_sq is None else repr(float(r.mgda_norm_sq)))
-        writer.writerow(row)
+        rows.append(row)
+    _write_rows(rows, path)
+
+
+def _write_rows(rows: list, path) -> None:
+    """One comma-separated line per row of strings; no cell holds a comma,
+    a quote or a newline, so none is quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buffer.getvalue())
+        fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def read_metrics_csv(path) -> list:

@@ -2,11 +2,11 @@
 
 Every stream is `Generator(PCG64(s))` for a 63-bit seed s derived from
 (seed, step, role). Building that generator from an int runs numpy's
-Python-level `SeedSequence`, about 16 us a stream. `draw_streams` gets the
-same streams for a whole array of seeds: it replays `SeedSequence`'s pool
-mixing (fixed for reproducibility by NEP 19) as uint32 array arithmetic,
-and hands each `PCG64` its four state words through numpy's public
-`ISeedSequence` interface.
+Python-level `SeedSequence`, about 11 us a stream with a (32, 3) normal
+draw; `draw_streams` takes about 3 us a stream for a whole array of seeds.
+It replays `SeedSequence`'s pool mixing (fixed for reproducibility by NEP
+19) as uint32 array arithmetic and hands each `PCG64` its four state words
+through numpy's public `ISeedSequence` interface.
 """
 
 from __future__ import annotations

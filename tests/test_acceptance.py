@@ -327,8 +327,8 @@ def test_4_bandit_and_single_objective_equivalence(announce):
     cfg2 = PolicyConfig(vocab_size=4, prompt_length=2, hidden_dim=6, context_dim=2)
     flat_a = init_policy(cfg2, seed=3).flat
     flat_b = flat_a.copy()
-    adam_a = Adam(flat_a.size, 0.01, 0.9, 0.999, 1e-8)
-    adam_b = Adam(flat_b.size, 0.01, 0.9, 0.999, 1e-8)
+    adam_a = Adam(flat_a.size, 0.01)
+    adam_b = Adam(flat_b.size, 0.01)
     identical = True
     for step in range(25):
         params_a = PolicyParams(cfg2, flat_a)

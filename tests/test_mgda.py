@@ -94,6 +94,9 @@ def test_single_gradient_is_exact_passthrough():
     assert res.weights.tolist() == [1.0]
     assert np.array_equal(res.direction, -g[0])
     assert res.converged
+    assert res.iterations == 0
+    assert res.gap >= 0.0
+    assert res.combined_norm_sq == float(g[0] @ g[0])
 
 
 def test_opposed_gradients_are_pareto_stationary():
@@ -115,6 +118,9 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         # Finite gradients whose Gram matrix overflows.
         min_norm_point([[1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(ValueError):
+        # The same overflow from a single gradient.
+        min_norm_point([[1e200, 1e200]])
 
 
 def test_max_iter_exhaustion_sets_flag(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from moprompt.rewards import (
     aggregate_product,
     evaluation_metrics,
 )
+from moprompt.runner import MetricsRecord
 
 
 def random_batch(seed: int, n: int, m: int) -> np.ndarray:
@@ -74,16 +76,19 @@ def test_hvi_dominant_outlier():
 
 def test_evaluation_metrics_example():
     out = evaluation_metrics([[0.2, 0.8], [0.6, 0.4]], ref=[0.0, 0.0])
-    assert out.per_objective_means == pytest.approx([0.4, 0.6], abs=1e-15)
-    assert out.mean_of_means == pytest.approx(0.5, abs=1e-15)
-    assert out.expected_product == pytest.approx(0.20, abs=1e-15)
+    assert out["per_objective_means"] == pytest.approx([0.4, 0.6], abs=1e-15)
+    assert out["mean_of_means"] == pytest.approx(0.5, abs=1e-15)
+    assert out["expected_product"] == pytest.approx(0.20, abs=1e-15)
+    # Exactly the metric fields of the record an evaluation becomes.
+    record_fields = {f.name for f in dataclasses.fields(MetricsRecord)}
+    assert set(out) == record_fields - {"step", "seed", "method", "mgda_norm_sq"}
 
 
 def test_evaluation_metrics_degenerate():
     out = evaluation_metrics([[1.0, 1.0]], ref=[0.0, 0.0])
-    assert out.mean_of_means == 1.0
-    assert out.expected_product == 1.0
-    assert out.hvi == 1.0
+    assert out["mean_of_means"] == 1.0
+    assert out["expected_product"] == 1.0
+    assert out["hvi"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +171,7 @@ def test_product_below_mean_of_means_on_unit_interval(seed, n, m):
     # AM-GM per sample, then averaging over the batch.
     batch = random_batch(seed, n, m)
     metrics = evaluation_metrics(batch, np.zeros(m))
-    assert metrics.expected_product <= metrics.mean_of_means + 1e-12
+    assert metrics["expected_product"] <= metrics["mean_of_means"] + 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 3))

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -79,7 +80,7 @@ def tiny_config(**overrides):
 
 def test_adam_matches_hand_rolled_iterates():
     grads = [0.3, -1.2, 0.05, 0.9]
-    opt = Adam(1, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(1, lr=0.1)
     x = np.array([2.0])
     seen = []
     for g in grads:
@@ -92,17 +93,17 @@ def test_adam_matches_hand_rolled_iterates():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-3, max_value=10.0))
 def test_adam_first_step_moves_by_roughly_lr_against_gradient(g, lr):
-    opt = Adam(1, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(1, lr=lr)
     moved = opt.update(np.zeros(1), np.array([g]))
     # With eps outside the sqrt, step one is -lr * g / (|g| + eps).
     assert moved[0] == pytest.approx(-lr * g / (abs(g) + 1e-8), rel=1e-12)
-    opt = Adam(1, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(1, lr=lr)
     moved = opt.update(np.zeros(1), np.array([-g]))
     assert moved[0] == pytest.approx(lr * g / (abs(g) + 1e-8), rel=1e-12)
 
 
 def test_adam_converges_on_quadratic():
-    opt = Adam(1, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(1, lr=0.05)
     x = np.array([5.0])
     for _ in range(2000):
         x = opt.update(x, 2.0 * (x - 1.5))
@@ -125,10 +126,6 @@ def test_config_rejects_bad_values():
         tiny_config(steps=0)
     with pytest.raises(ConfigError):
         tiny_config(seeds=())
-    with pytest.raises(ConfigError):
-        tiny_config(adam_beta1=1.0)
-    with pytest.raises(ConfigError):
-        tiny_config(adam_eps=0.0)
     with pytest.raises(ConfigError):
         tiny_config(temperature=0.0)
 
@@ -212,6 +209,9 @@ def test_config_from_dict_fails_closed():
         config_from_dict({"run": {"step": 5}})
     with pytest.raises(ConfigError):
         config_from_dict({"optimizer": {"lr": 0.1}})
+    with pytest.raises(ConfigError, match="unknown key"):
+        # Adam's betas and epsilon are fixed, not settings.
+        config_from_dict({"optimizer": {"adam_beta1": 0.9}})
     with pytest.raises(ConfigError):
         config_from_dict({"policy": {"width": 8}})
     with pytest.raises(ConfigError):
@@ -613,6 +613,41 @@ def test_metrics_csv_roundtrip(tmp_path):
         assert loaded.mgda_norm_sq == orig.mgda_norm_sq
 
 
+def _csv_writer_text(rows) -> str:
+    """The oracle: what the standard library's csv.writer writes for rows."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _metrics_rows(records) -> list:
+    m = len(records[0].per_objective_means)
+    rows = [["step", "seed", "method", *(f"mean_{i}" for i in range(m))]]
+    rows[0] += ["mean_of_means", "expected_product", "hvi", "mgda_norm_sq"]
+    for r in records:
+        values = [*r.per_objective_means, r.mean_of_means, r.expected_product, r.hvi]
+        norm = "" if r.mgda_norm_sq is None else repr(r.mgda_norm_sq)
+        rows.append([str(r.step), str(r.seed), r.method, *map(repr, values), norm])
+    return rows
+
+
+def test_csv_files_match_csv_writer_oracle(tmp_path):
+    # An mgda run writes both a filled and an empty mgda_norm_sq (step 0);
+    # a product run writes only empty ones.
+    for method in ("mgda", "product"):
+        out = tmp_path / method
+        result = train(tiny_config(method=method, steps=4, eval_every=2, out_dir=str(out)))
+        norms = {r.mgda_norm_sq is None for r in result.records}
+        assert norms == ({True, False} if method == "mgda" else {True})
+        text = (out / "metrics.csv").read_text(encoding="utf-8")
+        assert text == _csv_writer_text(_metrics_rows(result.records))
+    out = tmp_path / "compare"
+    result = compare_methods(tiny_config(steps=4, eval_every=2, seeds=(0, 1), out_dir=str(out)))
+    assert (out / "metrics.csv").read_text(encoding="utf-8") == _csv_writer_text(_metrics_rows(result.records))
+    table = runner.comparison_table(result.records, 2)
+    assert (out / "table1_analog.csv").read_text(encoding="utf-8") == _csv_writer_text(table)
+
+
 def test_write_metrics_csv_rejects_empty():
     with pytest.raises(ValueError):
         write_metrics_csv([], "unused.csv")
@@ -683,8 +718,8 @@ def test_scatter_step_zero_point_recomputable_from_scratch(tmp_path):
 
     params = init_policy(pcfg, derive_seed(7, ROLE_INIT))
     metrics = runner._evaluate(cfg, params, runner._eval_draws(cfg, 7))
-    assert first["x"] == float(metrics.per_objective_means[0])
-    assert first["y"] == float(metrics.per_objective_means[1])
+    assert first["x"] == float(metrics["per_objective_means"][0])
+    assert first["y"] == float(metrics["per_objective_means"][1])
 
 
 def test_emit_scatter_rejects_empty_records(tmp_path):
