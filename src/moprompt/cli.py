@@ -32,6 +32,7 @@ from .runner import (
     config_from_dict,
     emit_scatter,
     read_metrics_csv,
+    runs,
     train,
 )
 
@@ -129,11 +130,8 @@ def _tail_summary(records: list) -> list:
     evaluations and its last `_TAIL` evaluations' mean metrics, times 100."""
     if not records:
         raise ValueError("no evaluation records to inspect")
-    runs: dict = {}
-    for r in sorted(records, key=lambda r: (r.method, r.seed, r.step)):
-        runs.setdefault((r.method, r.seed), []).append(r)
     rows = [["method", "seed", "evals", "min_objective", "product", "average", "hvi"]]
-    for (method, seed), run in runs.items():
+    for (method, seed), run in runs(records).items():
         tail = run[-_TAIL:]
         values = [(min(r.per_objective_means), r.expected_product, r.mean_of_means, r.hvi) for r in tail]
         means = np.mean(values, axis=0) * 100.0
@@ -178,7 +176,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         if cfg.out_dir is not None:
             print()
-        _print_table(comparison_table(result.records, cfg.env.m))
+        _print_table(comparison_table(result.records))
     return 2 if result.aborts else 0
 
 

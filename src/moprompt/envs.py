@@ -115,6 +115,8 @@ class EnvSpec:
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be nonnegative")
         _check_outlier_prob(self.outlier_prob)
+        if self.outlier_prob != 0.0 and self.name != "outlier-prone":
+            raise ValueError(f"{self.name} has no outliers, got outlier_prob {self.outlier_prob!r}")
 
     @property
     def context_dim(self) -> int:

@@ -57,17 +57,6 @@ import numpy as np
 __all__ = ["pareto_front", "hypervolume", "hypervolumes"]
 
 
-def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d array of points, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("points must be finite")
-    return arr
-
-
 def _as_ref(ref, m: int) -> np.ndarray:
     r = np.asarray(ref, dtype=float).ravel()
     if r.shape[0] != m:
@@ -86,9 +75,13 @@ def pareto_front(points) -> np.ndarray:
     Returns:
         (k, m) array of the distinct nondominated points, in sorted order.
     """
-    pts = _as_points(points)
-    if len(pts) == 0:
-        return pts
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
+    if pts.ndim != 2:
+        raise ValueError(f"expected a 2-d array of points, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return _nondominated(pts)
 
 
@@ -170,7 +163,7 @@ def _hv(pts: np.ndarray) -> float:
         return _hv_sweep_2d(pts)
     if m == 3:  # three column lists iterate faster than n row lists
         return _sweep_3d(*pts[np.argsort(-pts[:, 0])].T.tolist())
-    return _hv_slice(_nondominated(pts))
+    return _hv_slice(_nondominated(pts)[::-1])  # descending lexicographic order
 
 
 def _hv_sweep_2d(pts: np.ndarray) -> float:
@@ -226,10 +219,9 @@ def _staircase_area(ys: list[float], zs: list[float]) -> float:
 
 def _hv_slice(pts: np.ndarray) -> float:
     # Integrate (m-1)-dimensional cross sections along the first coordinate
-    # of a nondominated set. The slab between consecutive sorted first
-    # coordinates is covered exactly by the points at or above its upper face.
-    keys = tuple(-pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
-    pts = pts[np.lexsort(keys)]
+    # of a distinct nondominated set in descending lexicographic order. The
+    # slab between consecutive first coordinates is covered exactly by the
+    # points at or above its upper face.
     xs = pts[:, 0].tolist()
     total = 0.0
     for i in range(len(pts)):

@@ -7,6 +7,9 @@ becomes the prompt's terminal reward in the soft-Q loss: the grand mean,
 the expected product, or the hypervolume of the batch as a point set. The
 result is the (k,) array of those floats. An evaluation batch is one (n, m)
 array; `evaluation_metrics` reports it as `runner.MetricsRecord`'s metrics.
+
+Hypervolumes are measured from the origin: `rollout` clips rewards to
+[0, 1]^m, so the origin is the lower corner of every reward's box.
 """
 
 from __future__ import annotations
@@ -55,25 +58,26 @@ def aggregate_product(batch) -> np.ndarray:
     return arr.prod(axis=-1).mean(axis=-1)
 
 
-def aggregate_hvi(batch, ref) -> np.ndarray:
-    """Per batch, the hypervolume of the batch as a point set above ref.
+def aggregate_hvi(batch) -> np.ndarray:
+    """Per batch, the hypervolume of the batch as a point set above the origin.
 
     Dominated samples add nothing; the volume has no canonical per-sample
     decomposition, so each (n, m) batch yields one scalar; the whole stack
     is one `hypervolumes` call.
 
     Raises:
-        ValueError: on an empty stack or a reference point of wrong dimension.
+        ValueError: on an empty or non-finite stack.
     """
-    return hypervolumes(_as_batch(batch, 3), ref)
+    arr = _as_batch(batch, 3)
+    return hypervolumes(arr, np.zeros(arr.shape[2]))
 
 
-def evaluation_metrics(batch, ref) -> dict:
+def evaluation_metrics(batch) -> dict:
     """All reported metrics for one evaluation batch, on the raw [0, 1]
     reward scale, keyed by the metric fields of `runner.MetricsRecord`.
 
     Raises:
-        ValueError: on an empty batch.
+        ValueError: on an empty or non-finite batch.
     """
     arr = _as_batch(batch, 2)
     per_objective = arr.mean(axis=0)
@@ -81,5 +85,5 @@ def evaluation_metrics(batch, ref) -> dict:
         "per_objective_means": tuple(per_objective.tolist()),
         "mean_of_means": float(per_objective.mean()),
         "expected_product": float(arr.prod(axis=1).mean()),
-        "hvi": hypervolume(arr, ref),
+        "hvi": hypervolume(arr, np.zeros(arr.shape[1])),
     }

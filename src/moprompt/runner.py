@@ -103,16 +103,17 @@ class TrainConfig:
 
     method: str
     env: EnvSpec
+    # The run scale has no defaults here; `config_from_dict` takes it from a profile.
+    k_hat: int
+    steps: int
+    learning_rate: float
+    eval_every: int
     seeds: tuple = (0, 1, 2)
     k: int = 8
-    k_hat: int = 128
-    steps: int = 12000
-    learning_rate: float = 1e-4
-    eval_every: int = 200
     eval_total_samples: int = 128
-    hidden_dim: int = 32
-    temperature: float = 1.0
-    reward_scale: float = 10.0
+    hidden_dim: int = PolicyConfig.hidden_dim
+    temperature: float = PolicyConfig.temperature
+    reward_scale: float = PolicyConfig.reward_scale
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -272,10 +273,10 @@ class Adam:
 # training
 
 
-def _prompt_scalars(method: str, batch: np.ndarray, m: int) -> np.ndarray:
+def _prompt_scalars(method: str, batch: np.ndarray) -> np.ndarray:
     """The (k,) terminal rewards of a (k, k_hat, m) step batch."""
     if method == "hvi":
-        return aggregate_hvi(batch, np.zeros(m))
+        return aggregate_hvi(batch)
     return aggregate_average(batch) if method == "average" else aggregate_product(batch)
 
 
@@ -307,9 +308,8 @@ def _eval_draws(cfg: TrainConfig, seed: int):
     """
     n_inputs = cfg.env.inputs.shape[0]
     k_hat_eval = max(1, cfg.eval_total_samples // n_inputs)
-    inputs = np.arange(n_inputs)[:, None]
-    prompt_seeds = derive_seeds((seed, ROLE_EVAL), np.hstack([inputs, np.zeros_like(inputs)]))
-    rollout_seeds = derive_seeds((seed, ROLE_EVAL), np.hstack([inputs, np.ones_like(inputs)]))
+    grid = np.stack(np.meshgrid(np.arange(n_inputs), np.arange(2), indexing="ij"), axis=-1)
+    prompt_seeds, rollout_seeds = derive_seeds((seed, ROLE_EVAL), grid).T
     return _draw(cfg.env, prompt_seeds, rollout_seeds, 1, k_hat_eval)
 
 
@@ -320,7 +320,7 @@ def _evaluate(cfg: TrainConfig, params: PolicyParams, eval_draws):
     # Each input has its own context and so its own policy table.
     rows = [sample_prompts(params, context, u)[0] for context, u in zip(env.inputs, uniforms)]
     batch = rollout(env, np.vstack(rows), (noise, outliers), noise.shape[1])
-    return evaluation_metrics(batch.reshape(-1, env.m), np.zeros(env.m))
+    return evaluation_metrics(batch.reshape(-1, env.m))
 
 
 def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
@@ -364,7 +364,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
                     grad = -solution.direction
                     healthy = bool(np.isfinite(grad).all())
         else:
-            scalars = _prompt_scalars(cfg.method, batch, env.m)
+            scalars = _prompt_scalars(cfg.method, batch)
             loss, grad = sql_loss_and_grad(table, tokens, scalars)
             healthy = bool(np.isfinite(loss) and np.isfinite(grad).all())
 
@@ -420,31 +420,34 @@ def compare_methods(cfg_base: TrainConfig) -> TrainResult:
         combined.aborts.extend(part.aborts)
     if cfg_base.out_dir is not None:
         write_metrics_csv(combined.records, os.path.join(cfg_base.out_dir, "metrics.csv"))
-        rows = comparison_table(combined.records, cfg_base.env.m)
+        rows = comparison_table(combined.records)
         _write_rows(rows, os.path.join(cfg_base.out_dir, "table1_analog.csv"))
     return combined
 
 
+def runs(records: list) -> dict:
+    """The records grouped by (method, seed), in that order, each run in step order."""
+    grouped: dict = {}
+    for r in sorted(records, key=lambda r: (r.method, r.seed, r.step)):
+        grouped.setdefault((r.method, r.seed), []).append(r)
+    return grouped
+
+
 def select_best_records(records: list, method: str) -> list:
     """Per seed, the record with the highest expected product (first on tie)."""
-    chosen = []
-    seeds = sorted({r.seed for r in records if r.method == method})
-    for seed in seeds:
-        run = [r for r in records if r.method == method and r.seed == seed]
-        run.sort(key=lambda r: r.step)
-        best = max(run, key=lambda r: r.expected_product)
-        chosen.append(best)
-    return chosen
+    by_run = runs(records).items()
+    return [max(run, key=lambda r: r.expected_product) for (name, _), run in by_run if name == method]
 
 
-def comparison_table(records: list, m: int) -> list:
+def comparison_table(records: list) -> list:
     """The comparison table as rows of strings: a header, then one row per
-    method that has records.
+    method that has records; m is read from the first record.
 
     For each method and seed, the evaluation checkpoint with the highest
     expected product is selected; a row averages those checkpoints across
     seeds and reports values scaled by 100, shortest round-trip formatted.
     """
+    m = len(records[0].per_objective_means)
     rows = [["method"] + [f"objective_{i}" for i in range(m)] + ["product", "average"]]
     for method in METHODS:
         best = select_best_records(records, method)

@@ -53,6 +53,13 @@ def test_env_spec_validation():
         EnvSpec(
             name="tug-of-war", m=2, vocab_size=8, prompt_length=5, inputs=inputs, outlier_prob=1.5
         )
+    with pytest.raises(ValueError, match="prompt_length must be positive"):
+        EnvSpec(name="tug-of-war", m=2, vocab_size=8, prompt_length=0, inputs=inputs)
+    # Only outlier-prone draws outliers; elsewhere a nonzero rate would be ignored.
+    for name in ("tug-of-war", "gaussian-arms"):
+        with pytest.raises(ValueError, match="has no outliers"):
+            EnvSpec(name=name, m=2, vocab_size=8, prompt_length=5, inputs=inputs, outlier_prob=0.9)
+        assert EnvSpec(name=name, m=2, vocab_size=8, prompt_length=5, inputs=inputs).outlier_prob == 0.0
 
 
 def test_builtin_env_is_deterministic():

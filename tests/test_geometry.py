@@ -143,6 +143,13 @@ def test_pareto_front_empty():
     assert pareto_front([]).shape[0] == 0
 
 
+def test_pareto_front_rejects_bad_input():
+    with pytest.raises(ValueError, match="2-d array"):
+        pareto_front(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        pareto_front([[0.5, 0.5], [np.nan, 0.2]])
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4))
 def test_pareto_front_is_nondominated_and_sufficient(seed, n, m):
     pts = random_points(seed, n, m)

@@ -153,6 +153,12 @@ def test_init_respects_fan_in_bounds():
 def test_param_count_matches_flat_length():
     cfg = small_cfg(vocab_size=5, prompt_length=3, hidden_dim=7, context_dim=4)
     assert init_policy(cfg, seed=1).flat.shape == (param_count(cfg),)
+    with pytest.raises(ValueError, match="parameters, got shape"):
+        PolicyParams(cfg, np.zeros(param_count(cfg) + 1))
+    flat = np.zeros(param_count(cfg))
+    flat[3] = np.nan
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        PolicyParams(cfg, flat)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -585,6 +591,8 @@ def test_per_objective_rejects_bad_shapes():
         per_objective_loss_grads(table, tokens, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         per_objective_loss_grads(table, tokens, np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="token id out of range"):
+        per_objective_loss_grads(table, np.full_like(tokens, small_cfg().vocab_size), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

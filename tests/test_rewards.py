@@ -59,23 +59,23 @@ def test_product_examples():
 
 
 def test_hvi_examples():
-    out = aggregate_hvi([[[0.6, 0.3], [0.2, 0.8]]], ref=[0.0, 0.0])
+    out = aggregate_hvi([[[0.6, 0.3], [0.2, 0.8]]])
     assert type(out) is np.ndarray
     assert out.dtype == np.float64
     assert out.shape == (1,)
     assert out[0] == pytest.approx(0.28, abs=1e-12)
 
-    assert aggregate_hvi([[[0.6, 0.3]]], ref=[0.0, 0.0])[0] == pytest.approx(0.18, abs=1e-12)
+    assert aggregate_hvi([[[0.6, 0.3]]])[0] == pytest.approx(0.18, abs=1e-12)
 
 
 def test_hvi_dominant_outlier():
     # One large point swamps the volume of a cloud near the origin.
     batch = [[0.1, 0.12], [0.11, 0.1], [0.9, 0.9], [0.08, 0.09]]
-    assert aggregate_hvi([batch], ref=[0.0, 0.0])[0] >= 0.81
+    assert aggregate_hvi([batch])[0] >= 0.81
 
 
 def test_evaluation_metrics_example():
-    out = evaluation_metrics([[0.2, 0.8], [0.6, 0.4]], ref=[0.0, 0.0])
+    out = evaluation_metrics([[0.2, 0.8], [0.6, 0.4]])
     assert out["per_objective_means"] == pytest.approx([0.4, 0.6], abs=1e-15)
     assert out["mean_of_means"] == pytest.approx(0.5, abs=1e-15)
     assert out["expected_product"] == pytest.approx(0.20, abs=1e-15)
@@ -85,7 +85,7 @@ def test_evaluation_metrics_example():
 
 
 def test_evaluation_metrics_degenerate():
-    out = evaluation_metrics([[1.0, 1.0]], ref=[0.0, 0.0])
+    out = evaluation_metrics([[1.0, 1.0]])
     assert out["mean_of_means"] == 1.0
     assert out["expected_product"] == 1.0
     assert out["hvi"] == 1.0
@@ -102,11 +102,11 @@ def test_empty_batch_rejected():
         with pytest.raises(ValueError):
             fn(np.zeros((1, 0, 2)))
     with pytest.raises(ValueError):
-        aggregate_hvi([], ref=[0.0, 0.0])
+        aggregate_hvi([])
     with pytest.raises(ValueError):
-        aggregate_hvi(np.zeros((1, 0, 2)), ref=[0.0, 0.0])
+        aggregate_hvi(np.zeros((1, 0, 2)))
     with pytest.raises(ValueError):
-        evaluation_metrics([], ref=[0.0, 0.0])
+        evaluation_metrics([])
 
 
 def test_product_rejects_negative_rewards():
@@ -134,8 +134,8 @@ def test_aggregators_are_permutation_invariant(seed, n, m):
     shuffled = batch[perm][None]
     assert aggregate_average(shuffled)[0] == pytest.approx(aggregate_average(batch[None])[0], abs=1e-12)
     assert aggregate_product(shuffled)[0] == pytest.approx(aggregate_product(batch[None])[0], abs=1e-12)
-    assert aggregate_hvi(shuffled, np.zeros(m))[0] == pytest.approx(
-        aggregate_hvi(batch[None], np.zeros(m))[0], abs=1e-12
+    assert aggregate_hvi(shuffled)[0] == pytest.approx(
+        aggregate_hvi(batch[None])[0], abs=1e-12
     )
 
 
@@ -143,8 +143,7 @@ def test_aggregators_are_permutation_invariant(seed, n, m):
 @settings(max_examples=60, deadline=None)
 def test_stacked_batches_equal_per_batch_calls(seed, k, n, m):
     stack = np.random.default_rng(seed).uniform(0.0, 1.0, size=(k, n, m))
-    ref = np.zeros(m)
-    for fn in (aggregate_average, aggregate_product, lambda b: aggregate_hvi(b, ref)):
+    for fn in (aggregate_average, aggregate_product, aggregate_hvi):
         out = fn(stack)
         assert out.shape == (k,)
         assert out.dtype == np.float64
@@ -152,7 +151,7 @@ def test_stacked_batches_equal_per_batch_calls(seed, k, n, m):
 
 
 def test_stacked_batch_errors():
-    for fn in (aggregate_average, aggregate_product, lambda b: aggregate_hvi(b, [0.0, 0.0])):
+    for fn in (aggregate_average, aggregate_product, aggregate_hvi):
         with pytest.raises(ValueError, match="3-d"):
             fn(np.zeros((3, 2)))
     with pytest.raises(ValueError):
@@ -160,9 +159,9 @@ def test_stacked_batch_errors():
     with pytest.raises(ValueError):
         aggregate_product(np.full((2, 3, 2), -0.5))
     with pytest.raises(ValueError):
-        aggregate_hvi(np.full((2, 3, 2), np.nan), ref=[0.0, 0.0])
+        aggregate_hvi(np.full((2, 3, 2), np.nan))
     with pytest.raises(ValueError):
-        evaluation_metrics(np.zeros((2, 3, 2)), ref=[0.0, 0.0])
+        evaluation_metrics(np.zeros((2, 3, 2)))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 32), st.integers(1, 4))
@@ -170,7 +169,7 @@ def test_stacked_batch_errors():
 def test_product_below_mean_of_means_on_unit_interval(seed, n, m):
     # AM-GM per sample, then averaging over the batch.
     batch = random_batch(seed, n, m)
-    metrics = evaluation_metrics(batch, np.zeros(m))
+    metrics = evaluation_metrics(batch)
     assert metrics["expected_product"] <= metrics["mean_of_means"] + 1e-12
 
 
@@ -178,8 +177,8 @@ def test_product_below_mean_of_means_on_unit_interval(seed, n, m):
 @settings(max_examples=50, deadline=None)
 def test_hvi_dominated_sample_no_op(seed, n, m):
     batch = random_batch(seed, n, m)
-    out = aggregate_hvi(batch[None], np.zeros(m))[0]
+    out = aggregate_hvi(batch[None])[0]
     # A sample dominated by an existing one never moves the HVI scalar.
     dominated = batch[0] * 0.5
     grown = np.vstack([batch, dominated])
-    assert aggregate_hvi(grown[None], np.zeros(m))[0] == pytest.approx(out, abs=1e-12)
+    assert aggregate_hvi(grown[None])[0] == pytest.approx(out, abs=1e-12)

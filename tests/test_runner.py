@@ -558,12 +558,25 @@ def test_non_finite_loss_aborts_seed_with_diagnostic():
     assert {r.seed for r in result.records if r.step == 0} == {0, 1}
 
 
-def test_mgda_non_finite_gradient_aborts_seed():
+def test_mgda_non_finite_gradient_aborts_seed(monkeypatch):
     cfg = tiny_config(method="mgda", learning_rate=1e200, steps=10, eval_every=5)
     with np.errstate(over="ignore", invalid="ignore"):
         result = train(cfg)
     assert len(result.aborts) == 1
     assert result.aborts[0]["method"] == "mgda"
+
+    # Finite losses and gradients whose Gram matrix overflows: min_norm_point
+    # raises, and the seed aborts as it would on a non-finite gradient.
+    def overflowing(*args):
+        losses, grads = policy.per_objective_loss_grads(*args)
+        return losses, np.full_like(grads, 1e200)
+
+    monkeypatch.setattr(runner, "per_objective_loss_grads", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(tiny_config(method="mgda", steps=10, eval_every=5, seeds=(0, 1)))
+    assert [(a["seed"], a["step"]) for a in result.aborts] == [(0, 1), (1, 1)]
+    assert all(a["reason"] == "non-finite loss or gradient" for a in result.aborts)
+    assert [(r.seed, r.step) for r in result.records] == [(0, 0), (1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +657,7 @@ def test_csv_files_match_csv_writer_oracle(tmp_path):
     out = tmp_path / "compare"
     result = compare_methods(tiny_config(steps=4, eval_every=2, seeds=(0, 1), out_dir=str(out)))
     assert (out / "metrics.csv").read_text(encoding="utf-8") == _csv_writer_text(_metrics_rows(result.records))
-    table = runner.comparison_table(result.records, 2)
+    table = runner.comparison_table(result.records)
     assert (out / "table1_analog.csv").read_text(encoding="utf-8") == _csv_writer_text(table)
 
 
@@ -754,6 +767,10 @@ def test_select_best_records_picks_max_product_earliest_tie():
     ]
     best = select_best_records(records, "hvi")
     assert [(r.seed, r.step) for r in best] == [(0, 10), (1, 0)]
+    # A table of two methods: the header, then their rows in METHODS order.
+    table = runner.comparison_table(records)
+    assert [row[0] for row in table] == ["method", "average", "hvi"]
+    assert table[0] == ["method", "objective_0", "objective_1", "product", "average"]
 
 
 def test_compare_methods_runs_all_four_and_tabulates(tmp_path):

@@ -147,6 +147,9 @@ def test_replay_state_words_equal_seed_sequence():
     words = seeding._pcg64_words(seeds)
     expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds.tolist()]
     assert np.array_equal(words, np.array(expected))
+    # Only the request PCG64 makes is answered.
+    with pytest.raises(ValueError, match="four uint64 state words"):
+        seeding._StateWords(words[0]).generate_state(4, np.uint32)
 
 
 def test_seeding_has_no_mutable_module_state():
