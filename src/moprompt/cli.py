@@ -154,7 +154,7 @@ def main(argv=None) -> int:
                 _print_table(_tail_summary(records))
                 return 0
             paths = emit_scatter(records, args.out_dir)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             return _config_error(exc)
         print(f"wrote {len(paths)} scatter file(s) to {args.out_dir}")
         return 0

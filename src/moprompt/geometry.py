@@ -76,7 +76,7 @@ def pareto_front(points) -> np.ndarray:
         (k, m) array of the distinct nondominated points, in sorted order.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
+    if pts.size == 0 and pts.ndim <= 2:
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
     if pts.ndim != 2:
         raise ValueError(f"expected a 2-d array of points, got shape {pts.shape}")

@@ -131,6 +131,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not is_integer(value) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        n_inputs = len(self.env.inputs)
+        if self.eval_total_samples % n_inputs:
+            # Every input is evaluated on the same number of samples.
+            raise ConfigError(f"eval_total_samples must be a multiple of env.n_inputs = {n_inputs}")
         check_finite_reals(ConfigError, learning_rate=self.learning_rate)
         # learning_rate 0 is allowed: it turns training into a no-op probe.
         if self.learning_rate < 0.0:
@@ -306,37 +310,29 @@ def _eval_draws(cfg: TrainConfig, seed: int):
     The eval streams have no step component, so they are drawn once and
     every evaluation of the seed sees the same held-out draws.
     """
-    n_inputs = cfg.env.inputs.shape[0]
-    k_hat_eval = max(1, cfg.eval_total_samples // n_inputs)
+    n_inputs = len(cfg.env.inputs)
     grid = np.stack(np.meshgrid(np.arange(n_inputs), np.arange(2), indexing="ij"), axis=-1)
     prompt_seeds, rollout_seeds = derive_seeds((seed, ROLE_EVAL), grid).T
-    return _draw(cfg.env, prompt_seeds, rollout_seeds, 1, k_hat_eval)
+    return _draw(cfg.env, prompt_seeds, rollout_seeds, 1, cfg.eval_total_samples // n_inputs)
 
 
-def _evaluate(cfg: TrainConfig, params: PolicyParams, eval_draws):
+def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
     """Held-out metrics: one fresh prompt per input, on a seed's `_eval_draws`."""
     env = cfg.env
     uniforms, noise, outliers = eval_draws
     # Each input has its own context and so its own policy table.
     rows = [sample_prompts(params, context, u)[0] for context, u in zip(env.inputs, uniforms)]
     batch = rollout(env, np.vstack(rows), (noise, outliers), noise.shape[1])
-    return evaluation_metrics(batch.reshape(-1, env.m))
-
-
-def _record(cfg, step, seed, params, norm_sq, eval_draws) -> MetricsRecord:
-    metrics = _evaluate(cfg, params, eval_draws)
+    metrics = evaluation_metrics(batch.reshape(-1, env.m))
     return MetricsRecord(step, seed, cfg.method, **metrics, mgda_norm_sq=norm_sq)
 
 
 def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyParams:
     env = cfg.env
-    pcfg = cfg.policy
-    flat = init_policy(pcfg, derive_seed(seed, ROLE_INIT)).flat
-    adam = Adam(flat.shape[0], cfg.learning_rate)
-    n_inputs = env.inputs.shape[0]
+    params = init_policy(cfg.policy, derive_seed(seed, ROLE_INIT))
+    adam = Adam(params.flat.shape[0], cfg.learning_rate)
     norm_sq: float | None = None
 
-    params = PolicyParams(pcfg, flat)
     eval_draws = _eval_draws(cfg, seed)
     result.records.append(_record(cfg, 0, seed, params, norm_sq, eval_draws))
     for step in range(1, cfg.steps + 1):
@@ -346,7 +342,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
             # evaluation or the end of the run.
             block = np.arange(step, min(step + cfg.eval_every, cfg.steps + 1))
             uniforms, noise, outliers = _block_draws(cfg, seed, block)
-        context = env.inputs[(step - 1) % n_inputs]
+        context = env.inputs[(step - 1) % len(env.inputs)]
         tokens, table = sample_prompts(params, context, uniforms[b])
         batch = rollout(env, tokens, (noise[b], None if outliers is None else outliers[b]), cfg.k_hat)
 
@@ -373,8 +369,7 @@ def _train_one_seed(cfg: TrainConfig, seed: int, result: TrainResult) -> PolicyP
                 {"seed": seed, "step": step, "method": cfg.method, "reason": "non-finite loss or gradient"}
             )
             return params
-        flat = adam.update(flat, grad)
-        params = PolicyParams(pcfg, flat)
+        params = PolicyParams(params.cfg, adam.update(params.flat, grad))
         if step % cfg.eval_every == 0:
             result.records.append(_record(cfg, step, seed, params, norm_sq, eval_draws))
     return params
@@ -467,17 +462,17 @@ def comparison_table(records: list) -> list:
 # artifacts
 
 
+def _metrics_header(m: int) -> list:
+    """The metrics.csv columns of a run with m objectives."""
+    means = [f"mean_{i}" for i in range(m)]
+    return ["step", "seed", "method", *means, "mean_of_means", "expected_product", "hvi", "mgda_norm_sq"]
+
+
 def write_metrics_csv(records: list, path) -> None:
     """Fixed column order, shortest-round-trip float formatting."""
     if not records:
         raise ValueError("no records to write")
-    m = len(records[0].per_objective_means)
-    header = (
-        ["step", "seed", "method"]
-        + [f"mean_{i}" for i in range(m)]
-        + ["mean_of_means", "expected_product", "hvi", "mgda_norm_sq"]
-    )
-    rows = [header]
+    rows = [_metrics_header(len(records[0].per_objective_means))]
     for r in records:
         row = [str(r.step), str(r.seed), r.method]
         row += [repr(float(x)) for x in r.per_objective_means]
@@ -495,24 +490,25 @@ def _write_rows(rows: list, path) -> None:
 
 
 def read_metrics_csv(path) -> list:
-    """Inverse of write_metrics_csv, for the scatter and inspect subcommands."""
-    records = []
+    """Inverse of write_metrics_csv, for the scatter and inspect subcommands.
+
+    Raises:
+        ValueError: if the header is not write_metrics_csv's for any m >= 1,
+            or a row does not have one cell per column.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        mean_cols = [c for c in reader.fieldnames or [] if c.startswith("mean_") and c != "mean_of_means"]
-        for row in reader:
-            records.append(
-                MetricsRecord(
-                    step=int(row["step"]),
-                    seed=int(row["seed"]),
-                    method=row["method"],
-                    per_objective_means=tuple(float(row[c]) for c in mean_cols),
-                    mean_of_means=float(row["mean_of_means"]),
-                    expected_product=float(row["expected_product"]),
-                    hvi=float(row["hvi"]),
-                    mgda_norm_sq=float(row["mgda_norm_sq"]) if row["mgda_norm_sq"] else None,
-                )
-            )
+        rows = list(csv.reader(fh))
+    header = rows[0] if rows else []
+    m = len(header) - len(_metrics_header(0))
+    if m < 1 or header != _metrics_header(m):
+        raise ValueError(f"{path} does not start with a metrics.csv header")
+    records = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path} line {line}: {len(row)} cells, expected {len(header)}")
+        step, seed, method, *means, mean_of_means, product, hvi, norm_sq = row
+        values = (float(mean_of_means), float(product), float(hvi), float(norm_sq) if norm_sq else None)
+        records.append(MetricsRecord(int(step), int(seed), method, tuple(map(float, means)), *values))
     return records
 
 

@@ -33,7 +33,13 @@ from moprompt.runner import (
     select_best_records,
     train,
 )
-from oracles import hypervolume_mc, sample_seeded
+from oracles import (
+    hypervolume_mc,
+    oracle_loss_fixed_targets,
+    oracle_targets,
+    sample_seeded,
+    simplex_grid_norm_sq,
+)
 
 TAIL_EVALS = 5
 
@@ -136,22 +142,6 @@ def test_1_hypervolume_matches_monte_carlo(announce):
 # 2. min-norm solver vs grid search, closed form, optimality
 
 
-def grid_norm_sq(gram: np.ndarray, resolution: float) -> float:
-    m = gram.shape[0]
-    if m == 2:
-        t = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
-        lams = np.stack([1.0 - t, t], axis=1)
-    else:
-        steps = round(1.0 / resolution) + 1
-        a = np.linspace(0.0, 1.0, steps)
-        aa, bb = np.meshgrid(a, a, indexing="ij")
-        mask = aa + bb <= 1.0 + 1e-12
-        aa, bb = aa[mask], bb[mask]
-        lams = np.stack([aa, bb, 1.0 - aa - bb], axis=1)
-    values = np.einsum("ki,ij,kj->k", lams, gram, lams)
-    return float(values.min())
-
-
 def pair_weights(gram: np.ndarray) -> np.ndarray:
     """Closed-form minimizer for two gradients: project the segment minimum."""
     denom = gram[0, 0] - 2.0 * gram[0, 1] + gram[1, 1]
@@ -174,7 +164,7 @@ def test_2_min_norm_solver_against_grid(announce):
         res = min_norm_point(grads)
         gram = grads @ grads.T
 
-        grid = grid_norm_sq(gram, 1e-3)
+        grid = simplex_grid_norm_sq(gram, 1e-3)
         worst_grid = max(worst_grid, abs(res.combined_norm_sq - grid))
 
         u = -res.direction
@@ -204,65 +194,6 @@ def test_2_min_norm_solver_against_grid(announce):
 # 3. analytic gradients vs central finite differences
 
 
-def _oracle_unpack(cfg, flat):
-    h, v, d = cfg.hidden_dim, cfg.vocab_size, cfg.input_dim
-    i = 0
-    w_in = np.array(flat[i : i + h * d]).reshape(h, d)
-    i += h * d
-    w_h = np.array(flat[i : i + h * h]).reshape(h, h)
-    i += h * h
-    b_h = np.array(flat[i : i + h])
-    i += h
-    w_out = np.array(flat[i : i + v * h]).reshape(v, h)
-    i += v * h
-    b_out = np.array(flat[i : i + v])
-    return w_in, w_h, b_h, w_out, b_out
-
-
-def _oracle_logits(cfg, flat, context, tokens):
-    w_in, w_h, b_h, w_out, b_out = _oracle_unpack(cfg, flat)
-    rows = []
-    for t in range(cfg.prompt_length):
-        x = np.zeros(cfg.input_dim)
-        x[: cfg.context_dim] = context
-        x[cfg.context_dim + t] = 1.0
-        if t > 0:
-            x[cfg.context_dim + cfg.prompt_length + tokens[t - 1]] = 1.0
-        h0 = np.tanh(w_in @ x)
-        h1 = np.tanh(w_h @ h0 + b_h)
-        rows.append(w_out @ h1 + b_out)
-    return np.array(rows)
-
-
-def _soft_value(row, temperature):
-    z = row / temperature
-    zmax = z.max()
-    return temperature * (math.log(np.exp(z - zmax).sum()) + zmax)
-
-
-def _frozen_targets(cfg, flat, context, tokens, rewards):
-    out = []
-    for sample_tokens, reward in zip(tokens, rewards):
-        rows = _oracle_logits(cfg, flat, context, sample_tokens)
-        tgt = np.zeros(cfg.prompt_length)
-        for t in range(cfg.prompt_length - 1):
-            tgt[t] = _soft_value(rows[t + 1], cfg.temperature)
-        tgt[-1] = cfg.reward_scale * reward
-        out.append(tgt)
-    return out
-
-
-def _loss_fixed_targets(cfg, flat, context, tokens, targets):
-    total = 0.0
-    count = 0
-    for sample_tokens, tgt in zip(tokens, targets):
-        rows = _oracle_logits(cfg, flat, context, sample_tokens)
-        for t in range(cfg.prompt_length):
-            total += 0.5 * (rows[t][sample_tokens[t]] - tgt[t]) ** 2
-            count += 1
-    return total / count
-
-
 def test_3_gradient_fidelity(announce):
     start = time.perf_counter()
     worst = 0.0
@@ -281,15 +212,15 @@ def test_3_gradient_fidelity(announce):
         tokens, table = sample_seeded(params, ctx, k=3, seed=trial)
         rewards = rng.uniform(0.0, 1.0, size=3)
         _, analytic = sql_loss_and_grad(table, tokens, rewards)
-        targets = _frozen_targets(cfg, params.flat, ctx, tokens, rewards)
+        targets = oracle_targets(cfg, params.flat, ctx, tokens, rewards)
         numeric = np.zeros_like(analytic)
         for idx in range(params.flat.size):
             up = params.flat.copy()
             up[idx] += eps
             down = params.flat.copy()
             down[idx] -= eps
-            hi = _loss_fixed_targets(cfg, up, ctx, tokens, targets)
-            lo = _loss_fixed_targets(cfg, down, ctx, tokens, targets)
+            hi = oracle_loss_fixed_targets(cfg, up, ctx, tokens, targets)
+            lo = oracle_loss_fixed_targets(cfg, down, ctx, tokens, targets)
             numeric[idx] = (hi - lo) / (2.0 * eps)
         rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-6)
         worst = max(worst, float(rel.max()))

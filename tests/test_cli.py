@@ -287,6 +287,19 @@ def test_inspect_without_metrics_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inspect", "scatter"])
+def test_truncated_metrics_exits_one(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+    path = out / "metrics.csv"
+    path.write_bytes(path.read_bytes()[:-30])
+    capsys.readouterr()
+    argv = ["inspect", str(out)] if command == "inspect" else ["scatter", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_compare_subcommand_writes_table(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml")
     out = tmp_path / "run"

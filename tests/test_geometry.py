@@ -143,6 +143,12 @@ def test_pareto_front_empty():
     assert pareto_front([]).shape[0] == 0
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2)])
+def test_pareto_front_rejects_empty_arrays_of_wrong_rank(shape):
+    with pytest.raises(ValueError, match="2-d array"):
+        pareto_front(np.zeros(shape))
+
+
 def test_pareto_front_rejects_bad_input():
     with pytest.raises(ValueError, match="2-d array"):
         pareto_front(np.ones((2, 2, 2)))

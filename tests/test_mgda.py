@@ -12,34 +12,11 @@ from hypothesis import strategies as st
 
 from moprompt import mgda
 from moprompt.mgda import min_norm_point
+from oracles import simplex_grid_norm_sq
 
 
 def random_gradients(seed: int, m: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, n))
-
-
-def grid_min_norm_sq(g: np.ndarray, resolution: float = 1e-3) -> float:
-    """Oracle: exhaustive search over a simplex grid for m in {2, 3}."""
-    gram = g @ g.T
-    ts = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
-    if len(g) == 2:
-        lam = np.stack([1.0 - ts, ts], axis=1)
-        return float(np.einsum("ki,ij,kj->k", lam, gram, lam).min())
-    if len(g) == 3:
-        a, b = np.meshgrid(ts, ts, indexing="ij")
-        keep = a + b <= 1.0 + 1e-12
-        a, b = a[keep], b[keep]
-        c = 1.0 - a - b
-        vals = (
-            gram[0, 0] * a * a
-            + gram[1, 1] * b * b
-            + gram[2, 2] * c * c
-            + 2.0 * gram[0, 1] * a * b
-            + 2.0 * gram[0, 2] * a * c
-            + 2.0 * gram[1, 2] * b * c
-        )
-        return float(vals.min())
-    raise NotImplementedError
 
 
 def face_enumeration_norm_sq(g: np.ndarray) -> float:
@@ -143,7 +120,7 @@ def test_matches_grid_search(m):
     for trial in range(100):
         g = random_gradients(1000 * m + trial, m, 1 + trial % 5)
         res = min_norm_point(g)
-        oracle = grid_min_norm_sq(g)
+        oracle = simplex_grid_norm_sq(g @ g.T)
         assert res.combined_norm_sq == pytest.approx(oracle, abs=1e-4)
 
 

@@ -29,7 +29,14 @@ from moprompt.policy import (
     save_checkpoint,
     sql_loss_and_grad,
 )
-from oracles import prompt_log_probs, sample_seeded
+from oracles import (
+    oracle_loss_fixed_targets,
+    oracle_soft_value,
+    oracle_targets,
+    oracle_unpack,
+    prompt_log_probs,
+    sample_seeded,
+)
 
 
 def small_cfg(**overrides) -> PolicyConfig:
@@ -40,71 +47,6 @@ def small_cfg(**overrides) -> PolicyConfig:
 
 def zero_params(cfg: PolicyConfig) -> PolicyParams:
     return PolicyParams(cfg=cfg, flat=np.zeros(param_count(cfg)))
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: loop-based forward pass and fixed-target loss
-
-
-def oracle_unpack(cfg, flat):
-    h, v, d = cfg.hidden_dim, cfg.vocab_size, cfg.input_dim
-    i = 0
-    w_in = np.array(flat[i : i + h * d]).reshape(h, d)
-    i += h * d
-    w_h = np.array(flat[i : i + h * h]).reshape(h, h)
-    i += h * h
-    b_h = np.array(flat[i : i + h])
-    i += h
-    w_out = np.array(flat[i : i + v * h]).reshape(v, h)
-    i += v * h
-    b_out = np.array(flat[i : i + v])
-    return w_in, w_h, b_h, w_out, b_out
-
-
-def oracle_logits(cfg, flat, context, tokens):
-    """Per-position logit rows for one sample, built with explicit loops."""
-    w_in, w_h, b_h, w_out, b_out = oracle_unpack(cfg, flat)
-    rows = []
-    for t in range(cfg.prompt_length):
-        x = np.zeros(cfg.input_dim)
-        x[: cfg.context_dim] = context
-        x[cfg.context_dim + t] = 1.0
-        if t > 0:
-            x[cfg.context_dim + cfg.prompt_length + tokens[t - 1]] = 1.0
-        h0 = np.tanh(w_in @ x)
-        h1 = np.tanh(w_h @ h0 + b_h)
-        rows.append(w_out @ h1 + b_out)
-    return np.array(rows)
-
-
-def oracle_soft_value(row, temperature):
-    z = row / temperature
-    zmax = z.max()
-    return temperature * (math.log(np.exp(z - zmax).sum()) + zmax)
-
-
-def oracle_targets(cfg, flat, context, tokens, rewards):
-    """Targets at the base parameters, to be held fixed under perturbation."""
-    out = []
-    for sample_tokens, reward in zip(tokens, rewards):
-        rows = oracle_logits(cfg, flat, context, sample_tokens)
-        tgt = np.zeros(cfg.prompt_length)
-        for t in range(cfg.prompt_length - 1):
-            tgt[t] = oracle_soft_value(rows[t + 1], cfg.temperature)
-        tgt[-1] = cfg.reward_scale * reward
-        out.append(tgt)
-    return out
-
-
-def oracle_loss_fixed_targets(cfg, flat, context, tokens, targets):
-    total = 0.0
-    count = 0
-    for sample_tokens, tgt in zip(tokens, targets):
-        rows = oracle_logits(cfg, flat, context, sample_tokens)
-        for t in range(cfg.prompt_length):
-            total += 0.5 * (rows[t][sample_tokens[t]] - tgt[t]) ** 2
-            count += 1
-    return total / count
 
 
 # ---------------------------------------------------------------------------

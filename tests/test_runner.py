@@ -130,6 +130,18 @@ def test_config_rejects_bad_values():
         tiny_config(temperature=0.0)
 
 
+def test_eval_total_samples_must_split_evenly_over_inputs():
+    # tug-of-war has 4 inputs: 2 and 130 would evaluate 4 and 128 samples.
+    for total in (2, 130):
+        with pytest.raises(ConfigError, match="multiple of env.n_inputs = 4"):
+            tiny_config(eval_total_samples=total)
+        with pytest.raises(ConfigError, match="multiple"):
+            config_from_dict({"run": {"eval_total_samples": total}})
+    cfg = tiny_config(eval_total_samples=8)
+    noise = runner._eval_draws(cfg, 0)[1]
+    assert noise.shape == (4, 2, cfg.env.m)
+
+
 def test_numpy_integer_config_fields_train_and_checkpoint(tmp_path):
     env = builtin_env(
         "tug-of-war", m=np.int64(2), seed=0, vocab_size=np.int64(6), n_inputs=np.int32(2)
@@ -626,6 +638,31 @@ def test_metrics_csv_roundtrip(tmp_path):
         assert loaded.mgda_norm_sq == orig.mgda_norm_sq
 
 
+def _swap_hvi_and_norm(text: str) -> str:
+    lines = [line.split(",") for line in text.splitlines()]
+    for cells in lines:
+        cells[-2], cells[-1] = cells[-1], cells[-2]
+    return "".join(",".join(cells) + "\n" for cells in lines)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text[:-30], "cells, expected"),
+        (lambda text: text.replace("mean_of_means", "average", 1), "header"),
+        (_swap_hvi_and_norm, "header"),
+        (lambda text: "", "header"),
+    ],
+    ids=["truncated", "foreign-header", "swapped-columns", "empty"],
+)
+def test_read_metrics_csv_rejects_what_write_metrics_csv_would_not_write(tmp_path, edit, message):
+    train(tiny_config(method="mgda", steps=4, eval_every=2, out_dir=str(tmp_path)))
+    path = tmp_path / "metrics.csv"
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_metrics_csv(path)
+
+
 def _csv_writer_text(rows) -> str:
     """The oracle: what the standard library's csv.writer writes for rows."""
     buffer = io.StringIO()
@@ -730,9 +767,9 @@ def test_scatter_step_zero_point_recomputable_from_scratch(tmp_path):
     from moprompt.policy import init_policy
 
     params = init_policy(pcfg, derive_seed(7, ROLE_INIT))
-    metrics = runner._evaluate(cfg, params, runner._eval_draws(cfg, 7))
-    assert first["x"] == float(metrics["per_objective_means"][0])
-    assert first["y"] == float(metrics["per_objective_means"][1])
+    record = runner._record(cfg, 0, 7, params, None, runner._eval_draws(cfg, 7))
+    assert first["x"] == float(record.per_objective_means[0])
+    assert first["y"] == float(record.per_objective_means[1])
 
 
 def test_emit_scatter_rejects_empty_records(tmp_path):
