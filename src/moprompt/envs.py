@@ -109,8 +109,13 @@ class EnvSpec:
             raise ValueError("vocab_size must be at least m so every axis has a token")
         if self.prompt_length <= 0:
             raise ValueError("prompt_length must be positive")
+        if not (isinstance(self.inputs, np.ndarray) and self.inputs.dtype == float):
+            kind = getattr(self.inputs, "dtype", type(self.inputs).__name__)
+            raise ValueError(f"inputs must be a float ndarray, got {kind}")
         if self.inputs.ndim != 2 or 0 in self.inputs.shape:
             raise ValueError(f"inputs must be (n_inputs, context_dim), both positive, got {self.inputs.shape}")
+        if not np.isfinite(self.inputs).all():
+            raise ValueError("inputs must be finite")
         check_finite_reals(ValueError, noise_scale=self.noise_scale)
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be nonnegative")

@@ -7,15 +7,11 @@ boxes spanned between a reference point and each set member. Points falling
 below the reference point in some coordinate are clamped to it, so they simply
 contribute a degenerate box instead of raising.
 
-The exact computation sweeps: a 2-d sweep over the first coordinate for two
-objectives, a 3-d sweep for three, and recursive slicing on the first
-coordinate for four or more. Every path performs the same floating-point
-operations, in the same order, as slicing the distinct nondominated points
-in descending lexicographic order and sweeping each slab's 2-d section.
-
-Two-objective sets, including the 2-d sections of the slabs, go to the 2-d
-sweep unfiltered: dominated and duplicate points never raise its running
-maximum, so it adds exactly the terms it would add on the filtered front.
+The exact computation has one base case, a 3-d sweep, and recursive slicing
+on the first coordinate for four or more objectives. Every path performs the
+same floating-point operations, in the same order, as slicing the distinct
+nondominated points in descending lexicographic order and sweeping each
+slab's 2-d section.
 
 The 3-d sweep (after Kung, Luccio & Preparata, JACM 1975, and HV3D of
 Fonseca, Paquete & Lopez-Ibanez, CEC 2006) sorts the points once, on the
@@ -38,9 +34,16 @@ z descending.
   the sweep's additions term by term, and the slab sum keeps slicing's order
   and its zero-width skips.
 
-`hypervolumes` validates, clamps and masks a (k, n, m) stack once; at m = 3
-one argsort orders every set, with masked rows keyed +inf so that they sort
-last and a per-set count cuts them off.
+Fewer than three objectives are padded with leading ones. Every padded
+point then has the same first coordinate, so the sweep adds no slab before
+the last, whose `0.0 + 1.0 * area` is exact. Its staircase is the distinct
+nondominated (x, y) points, walked in descending x: the 2-d sweep's terms
+x * (y - best_y), in its order. At m = 1 the points (1, 1, x) leave one
+step, whose sum 1.0 * (x_max - 0.0) is x_max.
+
+`hypervolumes` validates, clamps and masks a (k, n, m) stack once; at m <= 3
+one argsort on the first real coordinate orders every set, with masked rows
+keyed +inf so that they sort last and a per-set count cuts them off.
 
 The nondominated filter for four or more objectives and for `pareto_front`
 is vectorized: after collapsing duplicates it builds the "at least as large
@@ -126,7 +129,7 @@ def hypervolume(points, ref) -> float:
         ValueError: on dimension mismatch or non-finite input.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.size == 0 and pts.shape[-1] == 0:
+    if pts.shape == (0,):
         return 0.0  # no dimension to check ref against, as for []
     return float(hypervolumes(pts[None], ref)[0])
 
@@ -142,43 +145,36 @@ def hypervolumes(stack, ref) -> np.ndarray:
         raise ValueError(f"expected a (k, n, m >= 1) stack of point sets, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("points must be finite")
-    r = _as_ref(ref, arr.shape[2])
+    m = arr.shape[2]
+    r = _as_ref(ref, m)
     shifted = np.maximum(arr, r) - r
     keep = (shifted > 0.0).all(axis=2)
-    if arr.shape[2] != 3:
+    if m > 3:
         return np.array([_hv(s[kp]) if kp.any() else 0.0 for s, kp in zip(shifted, keep)])
-    order = np.where(keep, -shifted[:, :, 0], np.inf).argsort(axis=1)
+    if m < 3:
+        shifted = np.concatenate([np.ones(arr.shape[:2] + (3 - m,)), shifted], axis=2)
+    order = np.where(keep, -shifted[:, :, 3 - m], np.inf).argsort(axis=1)
     cols = np.take_along_axis(shifted.transpose(0, 2, 1), order[:, None, :], axis=2).tolist()
     counts = keep.sum(axis=1).tolist()
     return np.array([_sweep_3d(*(c[:n] for c in xyz)) if n else 0.0 for xyz, n in zip(cols, counts)])
 
 
 def _hv(pts: np.ndarray) -> float:
-    # pts: strictly positive coordinates, measured against the origin; may
-    # hold dominated and duplicate points.
-    m = pts.shape[1]
-    if m == 1:
-        return float(pts.max())
-    if m == 2:
-        return _hv_sweep_2d(pts)
-    if m == 3:  # three column lists iterate faster than n row lists
+    # pts: (n, m >= 3), positive, against the origin; may hold dominated
+    # and duplicate points.
+    if pts.shape[1] == 3:  # three column lists iterate faster than n row lists
         return _sweep_3d(*pts[np.argsort(-pts[:, 0])].T.tolist())
-    return _hv_slice(_nondominated(pts)[::-1])  # descending lexicographic order
-
-
-def _hv_sweep_2d(pts: np.ndarray) -> float:
-    # Descending sweep over x; a point adds area only where its y exceeds
-    # the running maximum. Ties broken by descending y, so a tied x adds its
-    # area in one term rather than in parts that round differently. Python
-    # floats are IEEE doubles, as numpy's float64 scalars are, and iterate faster.
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    area = 0.0
-    best_y = 0.0
-    for x, y in pts[order].tolist():
-        if y > best_y:
-            area += x * (y - best_y)
-            best_y = y
-    return float(area)
+    # Slice: each slab is covered exactly by the points at or above its top.
+    pts = _nondominated(pts)[::-1]  # descending lexicographic order
+    xs = pts[:, 0].tolist()
+    total = 0.0
+    for i in range(len(pts)):
+        lower = xs[i + 1] if i + 1 < len(pts) else 0.0
+        width = xs[i] - lower
+        if width == 0.0:
+            continue
+        total += width * _hv(pts[: i + 1, 1:])
+    return total
 
 
 def _sweep_3d(*cols: list) -> float:
@@ -215,19 +211,3 @@ def _staircase_area(ys: list[float], zs: list[float]) -> float:
         area += y * (z - best_z)
         best_z = z
     return area
-
-
-def _hv_slice(pts: np.ndarray) -> float:
-    # Integrate (m-1)-dimensional cross sections along the first coordinate
-    # of a distinct nondominated set in descending lexicographic order. The
-    # slab between consecutive first coordinates is covered exactly by the
-    # points at or above its upper face.
-    xs = pts[:, 0].tolist()
-    total = 0.0
-    for i in range(len(pts)):
-        lower = xs[i + 1] if i + 1 < len(pts) else 0.0
-        width = xs[i] - lower
-        if width == 0.0:
-            continue
-        total += width * _hv(pts[: i + 1, 1:])
-    return total

@@ -210,6 +210,8 @@ def _check_context(cfg: PolicyConfig, context) -> np.ndarray:
     ctx = np.asarray(context, dtype=float).ravel()
     if ctx.shape[0] != cfg.context_dim:
         raise ValueError(f"context has dimension {ctx.shape[0]}, expected {cfg.context_dim}")
+    if not np.isfinite(ctx).all():
+        raise ValueError("context must be finite")
     return ctx
 
 

@@ -494,10 +494,12 @@ def read_metrics_csv(path) -> list:
 
     Raises:
         ValueError: if the header is not write_metrics_csv's for any m >= 1,
-            or a row does not have one cell per column.
+            a row does not have one cell per column, or the last line does
+            not end in a newline (a file cut inside its last cell).
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        lines = fh.readlines()
+    rows = list(csv.reader(lines))
     header = rows[0] if rows else []
     m = len(header) - len(_metrics_header(0))
     if m < 1 or header != _metrics_header(m):
@@ -509,6 +511,9 @@ def read_metrics_csv(path) -> list:
         step, seed, method, *means, mean_of_means, product, hvi, norm_sq = row
         values = (float(mean_of_means), float(product), float(hvi), float(norm_sq) if norm_sq else None)
         records.append(MetricsRecord(int(step), int(seed), method, tuple(map(float, means)), *values))
+    # Last, so that a row cut short still names its missing cells.
+    if not lines[-1].endswith("\n"):
+        raise ValueError(f"{path} line {len(lines)} does not end in a newline: the file is cut")
     return records
 
 

@@ -300,6 +300,21 @@ def test_truncated_metrics_exits_one(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_last_cell_cut_without_its_newline_exits_one(tmp_path, capsys):
+    # mgda's last cell is a long float: cutting 5 bytes leaves every cell,
+    # so only the missing final newline shows that the file was cut.
+    cfg = write_config(tmp_path / "cfg.yaml", method="mgda")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+    path = out / "metrics.csv"
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ValueError, match="newline"):
+        read_metrics_csv(path)
+    capsys.readouterr()
+    assert main(["inspect", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_compare_subcommand_writes_table(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml")
     out = tmp_path / "run"

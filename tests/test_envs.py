@@ -62,6 +62,21 @@ def test_env_spec_validation():
         assert EnvSpec(name=name, m=2, vocab_size=8, prompt_length=5, inputs=inputs).outlier_prob == 0.0
 
 
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        (np.full((2, 4), np.inf), "inputs must be finite"),
+        (np.array([[0.5, np.nan], [0.1, 0.2]]), "inputs must be finite"),
+        ([[0.0] * 4] * 2, "float ndarray, got list"),
+        (np.zeros((2, 4), dtype=np.int64), "float ndarray, got int64"),
+    ],
+    ids=["inf", "nan", "list", "int"],
+)
+def test_env_spec_inputs_must_be_a_finite_float_array(inputs, message):
+    with pytest.raises(ValueError, match=message):
+        EnvSpec(name="tug-of-war", m=2, vocab_size=8, prompt_length=5, inputs=inputs)
+
+
 def test_builtin_env_is_deterministic():
     a = builtin_env("tug-of-war", m=2, seed=3)
     b = builtin_env("tug-of-war", m=2, seed=3)

@@ -261,6 +261,14 @@ def test_empty_point_set_still_checks_reference(bad_ref):
     assert np.array_equal(hypervolumes(np.empty((2, 0, 3)), np.zeros(3)), np.zeros(2))
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 0), (2, 2, 0), (3, 0), (0, 0)])
+def test_hypervolume_rejects_sets_without_objectives(shape):
+    # Only the rank-1 [] is an empty set without a dimension; every other
+    # shape goes through the stack's checks, which reject m = 0.
+    with pytest.raises(ValueError, match="stack of point sets"):
+        hypervolume(np.zeros(shape), [0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # hypervolume vs oracles
 

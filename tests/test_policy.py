@@ -321,6 +321,15 @@ def test_sampling_rejects_bad_arguments():
         sample_prompts(params, np.zeros(2), np.zeros((2, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampling_rejects_non_finite_context(bad):
+    # A NaN logit row compares false against every uniform, so it would
+    # sample token 0 everywhere instead of failing.
+    params = init_policy(small_cfg(), seed=0)
+    with pytest.raises(ValueError, match="context must be finite"):
+        sample_prompts(params, np.array([0.5, bad]), np.full((small_cfg().prompt_length, 2), 0.5))
+
+
 def test_zero_weights_sample_uniformly():
     cfg = PolicyConfig(vocab_size=4, prompt_length=2, hidden_dim=4, context_dim=2)
     tokens, _ = sample_seeded(zero_params(cfg), np.zeros(2), k=100_000, seed=5)

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
 from moprompt import policy, runner
-from moprompt.envs import builtin_env
+from moprompt.envs import ENV_NAMES, builtin_env
 from moprompt.policy import load_checkpoint
 from moprompt.runner import (
+    METHODS,
     Adam,
     ConfigError,
     MetricsRecord,
@@ -493,6 +494,31 @@ def test_block_runs_match_recorded_artifacts(tmp_path, name):
     assert (tmp_path / "metrics.csv").read_text(encoding="utf-8") == metrics_text
     for checkpoint, digest in digests.items():
         assert hashlib.sha256((tmp_path / checkpoint).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 over the metrics.csv and checkpoints of every method x env x
+# m in {3, 4} desk run (seeds 0 and 1, env seed 3, 200 steps, eval_every 20):
+# each run's files in sorted name order, runs in METHODS, ENV_NAMES, m order.
+# A change that moves training artifacts records the new digest here and
+# says why; like RECORDED_RUNS it holds only in RECORDED_FINGERPRINT's
+# numeric environment.
+RECORDED_GRID_DIGEST = "7c10a0341a3575cafcce9807471dcdde87b0238708e6bf58a71ae31b8e4d9adc"
+
+
+def test_desk_grid_artifacts_match_recorded_digest(tmp_path):
+    if numeric_fingerprint() != RECORDED_FINGERPRINT:
+        pytest.skip("the recorded artifacts are bit-exact only in the numeric environment they came from")
+    digest = hashlib.sha256()
+    for method in METHODS:
+        for env in ENV_NAMES:
+            for m in (3, 4):
+                out = tmp_path / f"{method}-{env}-{m}"
+                run = {"seeds": [0, 1], "steps": 200, "eval_every": 20, "out_dir": str(out)}
+                data = {"method": method, "env": {"name": env, "m": m, "seed": 3}, "run": run}
+                assert not train(config_from_dict(data, "desk")).aborts
+                for path in sorted(out.iterdir()):
+                    digest.update(path.read_bytes())
+    assert digest.hexdigest() == RECORDED_GRID_DIGEST
 
 
 @pytest.mark.parametrize("method", ["product", "mgda"])
